@@ -7,6 +7,7 @@ from .estimators import (
     StudySummary,
     delta_hat,
     epsilon_hat,
+    estimate_columns,
     estimate_mean,
     estimate_moments,
     estimate_sd,
@@ -23,6 +24,7 @@ __all__ = [
     "StudySummary",
     "delta_hat",
     "epsilon_hat",
+    "estimate_columns",
     "estimate_mean",
     "estimate_moments",
     "estimate_sd",

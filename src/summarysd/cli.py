@@ -11,22 +11,38 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
-from . import oracle, refit, tables
+import numpy as np
+
+from . import tables
 from .estimators import (
     PIECEWISE_CUTOFF,
+    SCENARIOS,
     CorrectionOrder,
     Scenario,
-    StudySummary,
-    estimate_moments,
+    blom_iqr_divisor,
+    blom_range_divisor,
+    estimate_columns,
+    eta_hat,
+    xi_hat,
 )
-from .specfun import std_normal_quantile
 
 INPUT_COLUMNS = ("study_id", "n", "min", "q1", "median", "q3", "max")
 REQUIRED_COLUMNS = ("study_id", "n")
 OUTPUT_COLUMNS = ("study_id", "scenario", "mean", "sd", "divisor", "correction", "degenerate")
+VALUE_COLUMNS = INPUT_COLUMNS[2:]
+SEPARATORS = {"csv": ",", "tsv": "\t"}
+
+#: Data rows ``estimate`` parses, estimates and writes together; memory
+#: stays bounded whatever the length of the input.
+CHUNK_ROWS = 4096
+
+# Sample sizes must fit the int64 column the estimator takes.
+_N_LIMIT = 2**63
 
 
 class FatalCliError(Exception):
@@ -48,39 +64,78 @@ def _parse_range(text: str, lo: int = 1) -> tuple[int, int]:
     return a, b
 
 
-def _parse_row(row: dict, line_no: int, seen_ids: set) -> tuple[str, StudySummary]:
-    study_id = (row.get("study_id") or "").strip()
-    if not study_id:
-        raise ValueError(f"line {line_no}: empty study_id")
-    if study_id in seen_ids:
-        raise ValueError(f"line {line_no}: duplicate study_id {study_id!r}")
-
-    def num(col):
-        raw = (row.get(col) or "").strip()
-        if not raw:
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValueError(f"line {line_no} ({study_id}): {col}={raw!r} is not a number")
-
-    n_raw = (row.get("n") or "").strip()
+def _parse_numbers(n_raw: str, cells) -> tuple[int, list[float]]:
+    """Sample size and the five summaries of one row (NaN for an empty
+    cell); a ValueError names the first cell that is not a number."""
+    n_raw = n_raw.strip()
     try:
         n = int(n_raw)
     except ValueError:
-        raise ValueError(f"line {line_no} ({study_id}): n={n_raw!r} is not an integer")
-    try:
-        summary = StudySummary(
-            n=n,
-            min_a=num("min"),
-            q1=num("q1"),
-            median_m=num("median"),
-            q3=num("q3"),
-            max_b=num("max"),
+        raise ValueError(f"n={n_raw!r} is not an integer") from None
+    if not -_N_LIMIT <= n < _N_LIMIT:
+        raise ValueError(f"n={n_raw!r} is out of range")
+    values = []
+    for col, raw in zip(VALUE_COLUMNS, cells):
+        raw = raw.strip()
+        if not raw:
+            values.append(math.nan)
+            continue
+        try:
+            x = float(raw)
+        except ValueError:
+            raise ValueError(f"{col}={raw!r} is not a number") from None
+        if not math.isfinite(x):
+            raise ValueError(f"{col}={raw!r} is not a finite number")
+        values.append(x)
+    return n, values
+
+
+def _read_chunk(reader, header: list[str]):
+    """Parse up to CHUNK_ROWS data rows of ``reader``.
+
+    Returns the physical line number and study id of each row, the
+    rows whose cells do not parse (index -> reason), and the n and
+    value columns (placeholders for those rows).  Blank lines are
+    skipped; cells missing from a short row are empty.
+    """
+    width = len(header)
+    where = {name: i for i, name in enumerate(header)}
+    # Columns absent from the header read the empty cell appended at
+    # index ``width`` of every row.
+    pick = itemgetter(*(where.get(col, width) for col in INPUT_COLUMNS))
+    lines, ids, problems, ns, values = [], [], {}, [], []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != width:
+            row = (row + [""] * width)[:width]
+        row.append("")
+        study_id, n_raw, *cells = pick(row)
+        try:
+            n, vals = _parse_numbers(n_raw, cells)
+        except ValueError as exc:
+            problems[len(ids)] = str(exc)
+            n, vals = 2, [math.nan] * len(VALUE_COLUMNS)
+        lines.append(reader.line_num)
+        ids.append(study_id.strip())
+        ns.append(n)
+        values.extend(vals)
+        if len(ids) == CHUNK_ROWS:
+            break
+    cols = np.array(values, dtype=float).reshape(-1, len(VALUE_COLUMNS)).T
+    return lines, ids, problems, np.array(ns, dtype=np.int64), cols
+
+
+def _row_template(fmt: str, order: CorrectionOrder) -> str:
+    """``str.format`` template of one output row; its fields are the
+    encoded study id, scenario, mean, SD, divisor and degenerate flag."""
+    if fmt == "jsonl":
+        # What json.dumps writes for the record, floats by repr.
+        return (
+            '{{"study_id": {}, "scenario": "{}", "mean": {!r}, "sd": {!r}, '
+            f'"divisor": {{!r}}, "correction": "{order.value}", "degenerate": {{}}}}}}\n'
         )
-    except ValueError as exc:
-        raise ValueError(f"line {line_no} ({study_id}): {exc}")
-    return study_id, summary
+    return SEPARATORS[fmt].join(["{}", "{}", "{:.6g}", "{:.6g}", "{:.6g}", order.value, "{}"]) + "\n"
 
 
 def cmd_estimate(args) -> int:
@@ -92,8 +147,8 @@ def cmd_estimate(args) -> int:
     except OSError as exc:
         raise FatalCliError(f"cannot read {args.input}: {exc}")
     with fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
+        reader = csv.reader(fh)
+        header = next(reader, None)
         if header is None:
             raise FatalCliError(f"{args.input}: empty file, header row required")
         unknown = [c for c in header if c not in INPUT_COLUMNS]
@@ -109,53 +164,52 @@ def cmd_estimate(args) -> int:
                 f"expected a subset of {list(INPUT_COLUMNS)}"
             )
 
-        out = sys.stdout
-        sep = {"csv": ",", "tsv": "\t"}.get(args.format)
-        if sep:
-            out.write(sep.join(OUTPUT_COLUMNS) + "\n")
+        if args.format == "jsonl":
+            encode_id, flags = encode_basestring_ascii, ("false", "true")
+        else:
+            sys.stdout.write(SEPARATORS[args.format].join(OUTPUT_COLUMNS) + "\n")
+            encode_id, flags = str, ("0", "1")
+        template = _row_template(args.format, order)
+        scenario_names = [sc.value for sc in SCENARIOS]
         seen_ids: set[str] = set()
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                study_id, summary = _parse_row(row, line_no, seen_ids)
-                seen_ids.add(study_id)
-                est = estimate_moments(summary, order, override, args.cutoff)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                continue
-            record = {
-                "study_id": study_id,
-                "scenario": est.scenario.value,
-                "mean": est.mean,
-                "sd": est.sd,
-                "divisor": est.divisor_used,
-                "correction": est.correction.value,
-                "degenerate": est.degenerate,
-            }
-            if sep:
-                out.write(
-                    sep.join(
-                        [
-                            record["study_id"],
-                            record["scenario"],
-                            _fmt(record["mean"]),
-                            _fmt(record["sd"]),
-                            _fmt(record["divisor"]),
-                            record["correction"],
-                            "1" if record["degenerate"] else "0",
-                        ]
-                    )
-                    + "\n"
-                )
-            else:
-                out.write(json.dumps(record) + "\n")
+        divisor_memo: dict = {}
+        while True:
+            lines, ids, problems, n, values = _read_chunk(reader, header)
+            if not ids:
+                break
+            est = estimate_columns(n, values, order, override, args.cutoff, divisor_memo)
+            # Rows that are not a valid summary are rejected before their
+            # id counts as seen; rows with no estimate count.
+            rejected = {i: msg for i, msg in est.errors.items() if est.invalid[i]}
+            rejected.update(problems)
+            out, err = [], []
+            for i, (line, study_id, code, mean, sd, divisor, degenerate) in enumerate(zip(
+                lines, ids, est.scenario.tolist(), est.mean.tolist(), est.sd.tolist(),
+                est.divisor.tolist(), est.degenerate.tolist(),
+            )):
+                if not study_id:
+                    err.append(f"error: line {line}: empty study_id\n")
+                elif study_id in seen_ids:
+                    err.append(f"error: line {line}: duplicate study_id {study_id!r}\n")
+                elif i in rejected:
+                    err.append(f"error: line {line} ({study_id}): {rejected[i]}\n")
+                else:
+                    seen_ids.add(study_id)
+                    if i in est.errors:
+                        err.append(f"error: line {line} ({study_id}): {est.errors[i]}\n")
+                    else:
+                        out.append(template.format(
+                            encode_id(study_id), scenario_names[code], mean, sd, divisor,
+                            flags[degenerate],
+                        ))
+            sys.stdout.write("".join(out))
+            sys.stderr.write("".join(err))
     return 0
 
 
 def cmd_tables(args) -> int:
     n_min, n_max = _parse_range(args.range, lo=1)
     order = CorrectionOrder(args.correction)
-    from .estimators import eta_hat, xi_hat
-
     xi_tab, eta_tab = tables.load_tables()
     out = sys.stdout
     out.write("n\ttable\tasymptotic\tcorrected\tresidual\n")
@@ -167,10 +221,10 @@ def cmd_tables(args) -> int:
             out.write(f"{n}\t{tab}\t\t\t\n")
             continue
         if args.which == "xi":
-            asym = 2.0 * std_normal_quantile((n - 0.375) / (n + 0.25))
+            asym = blom_range_divisor(n)
             corrected = xi_hat(n, args.cutoff)
         else:
-            asym = 2.0 * std_normal_quantile((0.75 * n - 0.125) / (n + 0.25))
+            asym = blom_iqr_divisor(n)
             corrected = eta_hat(n, order, args.cutoff)
         residual = _fmt(float(tab) - corrected) if tab else ""
         out.write(f"{n}\t{tab}\t{_fmt(asym)}\t{_fmt(corrected)}\t{residual}\n")
@@ -178,6 +232,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_refit(args) -> int:
+    from . import refit
+
     if args.kind == "delta":
         if args.order == "second":
             raise FatalCliError("--order second applies to the epsilon fit only")
@@ -199,6 +255,8 @@ def cmd_refit(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
+
     n_min, n_max = _parse_range(args.range, lo=2)
     if n_max > tables.N_MAX:
         raise FatalCliError(f"oracle range limited to n <= {tables.N_MAX}")
@@ -209,7 +267,11 @@ def cmd_oracle(args) -> int:
     if args.convention == "all":
         conventions = tuple(oracle.QuantileConvention)
     else:
-        conventions = (oracle.QuantileConvention(args.convention),)
+        try:
+            conventions = (oracle.QuantileConvention(args.convention),)
+        except ValueError:
+            names = [c.value for c in oracle.QuantileConvention] + ["all"]
+            raise FatalCliError(f"--convention must be one of {names}, got {args.convention!r}")
     result = oracle.regenerate_tables(
         cfg_q, cfg_mc, n_min, n_max, which=args.which, conventions=conventions
     )
@@ -264,11 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--reps", type=int, default=100_000)
     p_or.add_argument("--seed", type=int, default=0)
     p_or.add_argument("--chunk-size", type=int, default=100_000)
-    p_or.add_argument(
-        "--convention",
-        choices=[c.value for c in oracle.QuantileConvention] + ["all"],
-        default="all",
-    )
+    # Checked by cmd_oracle, so that building the parser does not import
+    # the oracle (and scipy) for the other subcommands.
+    p_or.add_argument("--convention", default="all",
+                      help="quartile convention of the Monte Carlo IQR oracle, or all")
     p_or.add_argument("--report", metavar="PATH", default=None,
                       help="write the deviation sidecar here instead of stderr")
     p_or.set_defaults(func=cmd_oracle)

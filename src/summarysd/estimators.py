@@ -7,6 +7,10 @@ the observed spread by the expected spread of a standard normal sample
 of the same size.  For n <= 50 the classical asymptotic divisors are
 off by up to ~0.6; the small-sample corrections applied here close that
 gap to a few thousandths.
+
+The estimates are computed by one columnar core, :func:`estimate_columns`,
+over arrays of studies; :func:`estimate_moments`, :func:`estimate_sd` and
+:func:`estimate_mean` are one-row views of it.
 """
 
 from __future__ import annotations
@@ -15,17 +19,24 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .specfun import std_normal_quantile
 
 __all__ = [
     "Scenario",
+    "SCENARIOS",
     "CorrectionOrder",
     "StudySummary",
     "MomentEstimate",
+    "ColumnEstimates",
     "PIECEWISE_CUTOFF",
+    "estimate_columns",
     "estimate_mean",
     "delta_hat",
     "epsilon_hat",
+    "blom_range_divisor",
+    "blom_iqr_divisor",
     "xi_hat",
     "eta_hat",
     "estimate_sd",
@@ -58,6 +69,16 @@ EPSILON2_C1 = -0.23238
 EPSILON2_C2 = 0.00074
 EPSILON2_CENTER = 26
 
+_NONFINITE = "summaries must be finite numbers"
+_UNORDERED = "summaries must satisfy min <= Q1 <= median <= Q3 <= max"
+_NO_SCENARIO = "no scenario derivable: need {min, median, max} and/or {Q1, median, Q3}"
+_OVERFLOW = "estimate overflows double precision"
+
+# Divisors a memo keeps per (divisor, order, cutoff) before it is
+# emptied, so that inputs with millions of distinct n run in bounded
+# memory.
+_MEMO_LIMIT = 1 << 14
+
 
 class Scenario(enum.Enum):
     """Which summary pattern a study reports."""
@@ -65,6 +86,11 @@ class Scenario(enum.Enum):
     C1 = "c1"  # min, median, max
     C2 = "c2"  # min, Q1, median, Q3, max
     C3 = "c3"  # Q1, median, Q3
+
+
+#: Scenarios by the codes of :attr:`ColumnEstimates.scenario`.
+SCENARIOS = (Scenario.C1, Scenario.C2, Scenario.C3)
+_C1, _C2, _C3 = range(3)
 
 
 class CorrectionOrder(enum.Enum):
@@ -97,37 +123,28 @@ class StudySummary:
             for v in (self.min_a, self.q1, self.median_m, self.q3, self.max_b)
             if v is not None
         ]
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(_NONFINITE)
         if any(b < a for a, b in zip(vals, vals[1:])):
-            raise ValueError(
-                "summaries must satisfy min <= Q1 <= median <= Q3 <= max"
-            )
+            raise ValueError(_UNORDERED)
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """This study as one-row columns for :func:`estimate_columns`."""
+        vals = (self.min_a, self.q1, self.median_m, self.q3, self.max_b)
+        values = np.array([[math.nan if v is None else v] for v in vals], dtype=float)
+        return np.array([self.n]), values
 
     def scenarios(self) -> set[Scenario]:
         """All scenarios this summary can serve."""
-        out = set()
-        if self.min_a is not None and self.median_m is not None and self.max_b is not None:
-            out.add(Scenario.C1)
-        if self.q1 is not None and self.median_m is not None and self.q3 is not None:
-            out.add(Scenario.C3)
-        if Scenario.C1 in out and Scenario.C3 in out:
-            out.add(Scenario.C2)
-        return out
+        present = ~np.isnan(self.columns()[1])
+        return {sc for sc in Scenario if not _scenario_codes(present, sc)[1]}
 
     def scenario(self, override: Scenario | None = None) -> Scenario:
         """Pick the scenario, preferring C2 > C3 > C1 (most information)."""
-        available = self.scenarios()
-        if override is not None:
-            if override not in available:
-                raise ValueError(
-                    f"scenario {override.value} requested but required fields are missing"
-                )
-            return override
-        for cand in (Scenario.C2, Scenario.C3, Scenario.C1):
-            if cand in available:
-                return cand
-        raise ValueError(
-            "no scenario derivable: need {min, median, max} and/or {Q1, median, Q3}"
-        )
+        codes, errors = _scenario_codes(~np.isnan(self.columns()[1]), override)
+        if errors:
+            raise ValueError(errors[0])
+        return SCENARIOS[codes[0]]
 
 
 @dataclass(frozen=True)
@@ -142,6 +159,160 @@ class MomentEstimate:
     degenerate: bool = False  # spread was exactly zero
 
 
+@dataclass(frozen=True)
+class ColumnEstimates:
+    """Per-row results of :func:`estimate_columns`.
+
+    Rows listed in ``errors`` have no estimate; their entries in the
+    arrays are meaningless.  ``invalid`` marks the rows of ``errors``
+    that are not a valid summary at all (sample size, non-finite or
+    unordered values), as opposed to valid summaries that no scenario
+    or divisor fits.
+    """
+
+    scenario: np.ndarray  # codes into SCENARIOS
+    mean: np.ndarray
+    sd: np.ndarray
+    divisor: np.ndarray
+    degenerate: np.ndarray  # the spread the SD divides is exactly zero
+    errors: dict[int, str]
+    invalid: np.ndarray
+
+
+def _invalid_rows(n: np.ndarray, values: np.ndarray) -> dict[int, str]:
+    """Rows that are not a valid summary, with the reason
+    (the checks of :class:`StudySummary`, NaN marking an absent value)."""
+    unordered = np.zeros(n.shape, dtype=bool)
+    highest = np.full(n.shape, -np.inf)
+    for v in values:  # each value must reach every reported value before it
+        unordered |= v < highest
+        highest = np.fmax(highest, v)
+    problems: dict[int, str] = {}
+    for r in np.flatnonzero(n < 2).tolist():
+        problems[r] = f"sample size must be >= 2, got {n[r]}"
+    for mask, msg in ((np.isinf(values).any(axis=0), _NONFINITE), (unordered, _UNORDERED)):
+        for r in np.flatnonzero(mask).tolist():
+            problems.setdefault(r, msg)
+    return problems
+
+
+def _scenario_codes(
+    present: np.ndarray, override: Scenario | None
+) -> tuple[np.ndarray, dict[int, str]]:
+    """Scenario code per row from which of the five values are present,
+    preferring C2 > C3 > C1, or ``override``; rows it does not fit get
+    an error."""
+    c1 = present[0] & present[2] & present[4]
+    c3 = present[1] & present[2] & present[3]
+    if override is None:
+        codes = np.where(c3, np.where(c1, _C2, _C3), _C1)
+        unfit = ~(c1 | c3)
+        msg = _NO_SCENARIO
+    else:
+        codes = np.full(c1.shape, SCENARIOS.index(override))
+        unfit = ~{Scenario.C1: c1, Scenario.C2: c1 & c3, Scenario.C3: c3}[override]
+        msg = f"scenario {override.value} requested but required fields are missing"
+    return codes, dict.fromkeys(np.flatnonzero(unfit).tolist(), msg)
+
+
+def _means(codes: np.ndarray, n: np.ndarray, values: np.ndarray, simple_c1: bool = False):
+    """The C1/C2/C3 mean formulas, chosen per row by scenario code."""
+    a, q1, m, q3, b = values
+    c1 = (a + 2 * m + b) / 4.0
+    if not simple_c1:
+        c1 = c1 + (a - 2 * m + b) / (4.0 * n)
+    c2 = (a + 2 * q1 + 2 * m + 2 * q3 + b) / 8.0
+    c3 = (q1 + m + q3) / 3.0
+    return np.where(codes == _C1, c1, np.where(codes == _C3, c3, c2))
+
+
+def _divisor_column(kind, n, need, order, cutoff, memo, errors) -> np.ndarray:
+    """``xi_hat`` (kind "xi") or ``eta_hat`` for the rows in ``need``,
+    evaluated once per distinct n and kept in ``memo``; 1.0 elsewhere.
+    Rows whose n has no divisor get an error."""
+    out = np.ones(n.shape)
+    if not need.any():
+        return out
+    distinct, inverse = np.unique(n[need], return_inverse=True)
+    divisors = np.empty(distinct.size)
+    failed: dict[int, str] = {}
+    known = memo.setdefault((kind, order, cutoff), {})
+    for j, k in enumerate(distinct.tolist()):
+        value = known.get(k)
+        if value is None:
+            try:
+                value = xi_hat(k, cutoff) if kind == "xi" else eta_hat(k, order, cutoff)
+            except ValueError as exc:
+                failed[j] = str(exc)
+                value = math.nan
+            else:
+                if len(known) >= _MEMO_LIMIT:
+                    known.clear()
+                known[k] = value
+        divisors[j] = value
+    out[need] = divisors[inverse]
+    if failed:
+        for row, j in zip(np.flatnonzero(need).tolist(), inverse.tolist()):
+            if j in failed:
+                errors.setdefault(row, failed[j])
+    return out
+
+
+def estimate_columns(
+    n,
+    values,
+    order: CorrectionOrder = CorrectionOrder.FIRST,
+    scenario: Scenario | None = None,
+    cutoff: int = PIECEWISE_CUTOFF,
+    divisor_memo: dict | None = None,
+) -> ColumnEstimates:
+    """Mean, SD and divisor of many studies at once.
+
+    ``n`` holds the sample sizes and ``values`` the reported summaries
+    as five rows (min, Q1, median, Q3, max) of one column per study,
+    NaN marking a value that was not reported.  The scenario of each
+    study is C2 > C3 > C1 by the values present, or ``scenario`` for
+    all.  C1 divides the range by ``xi_hat``, C3 the IQR by ``eta_hat``
+    and C2 averages the two; the divisors are evaluated once per
+    distinct n.  A caller estimating several batches may pass the same
+    dict as ``divisor_memo`` to reuse divisors across them.  A
+    degenerate spread (zero range or zero IQR) yields sd = 0 with the
+    ``degenerate`` flag set rather than an error, so batch pipelines can
+    keep going; so does every other row, with a reason in ``errors``.
+    """
+    n = np.asarray(n)
+    values = np.asarray(values, dtype=float)
+    errors = _invalid_rows(n, values)
+    invalid = np.zeros(n.shape, dtype=bool)
+    invalid[list(errors)] = True
+    codes, unfit = _scenario_codes(~np.isnan(values), scenario)
+    for r, msg in unfit.items():
+        errors.setdefault(r, msg)
+    ok = np.ones(n.shape, dtype=bool)
+    ok[list(errors)] = False
+    memo = {} if divisor_memo is None else divisor_memo
+    xi = _divisor_column("xi", n, ok & (codes != _C3), order, cutoff, memo, errors)
+    eta = _divisor_column("eta", n, ok & (codes != _C1), order, cutoff, memo, errors)
+
+    a, q1, m, q3, b = values
+    with np.errstate(all="ignore"):
+        range_sd = (b - a) / xi
+        iqr_sd = (q3 - q1) / eta
+        c2_sd = 0.5 * (range_sd + iqr_sd)
+        c2_spread = (b - a) + (q3 - q1)
+        is_c1, is_c3 = codes == _C1, codes == _C3
+        sd = np.where(is_c1, range_sd, np.where(is_c3, iqr_sd, c2_sd))
+        spread = np.where(is_c1, b - a, np.where(is_c3, q3 - q1, c2_spread))
+        # For C2 record the effective divisor total_spread / (2 sd).
+        c2_divisor = np.where(c2_sd > 0, c2_spread / (2.0 * c2_sd), xi)
+        divisor = np.where(is_c1, xi, np.where(is_c3, eta, c2_divisor))
+        mean = _means(codes, n, values)
+        finite = np.isfinite(mean) & np.isfinite(sd) & np.isfinite(divisor)
+    for r in np.flatnonzero(~finite).tolist():
+        errors.setdefault(r, _OVERFLOW)
+    return ColumnEstimates(codes, mean, sd, divisor, spread == 0, errors, invalid)
+
+
 def estimate_mean(
     summary: StudySummary,
     scenario: Scenario | None = None,
@@ -153,17 +324,12 @@ def estimate_mean(
     the 1/(4n) term.  C2 uses (a + 2Q1 + 2m + 2Q3 + b)/8 and C3 uses
     (Q1 + m + Q3)/3.
     """
-    sc = summary.scenario(scenario)
-    m = summary.median_m
-    if sc is Scenario.C1:
-        a, b = summary.min_a, summary.max_b
-        mean = (a + 2 * m + b) / 4.0
-        if not simple_c1:
-            mean += (a - 2 * m + b) / (4.0 * summary.n)
-        return mean
-    if sc is Scenario.C2:
-        return (summary.min_a + 2 * summary.q1 + 2 * m + 2 * summary.q3 + summary.max_b) / 8.0
-    return (summary.q1 + m + summary.q3) / 3.0
+    n, values = summary.columns()
+    codes, errors = _scenario_codes(~np.isnan(values), scenario)
+    if errors:
+        raise ValueError(errors[0])
+    with np.errstate(all="ignore"):
+        return float(_means(codes, n, values, simple_c1)[0])
 
 
 def delta_hat(n: int) -> float:
@@ -189,11 +355,15 @@ def epsilon_hat(n: int, order: CorrectionOrder = CorrectionOrder.FIRST) -> float
     return math.exp(n / (EPSILON_A + EPSILON_B * n))
 
 
-def _blom_range_divisor(n: int) -> float:
+def blom_range_divisor(n: int) -> float:
+    """Asymptotic range divisor: twice the normal quantile at Blom's
+    position (n - 3/8) / (n + 1/4) of the sample maximum."""
     return 2.0 * std_normal_quantile((n - 0.375) / (n + 0.25))
 
 
-def _blom_iqr_divisor(n: int) -> float:
+def blom_iqr_divisor(n: int) -> float:
+    """Asymptotic IQR divisor: twice the normal quantile at Blom's
+    position (3n/4 - 1/8) / (n + 1/4) of the third quartile."""
     return 2.0 * std_normal_quantile((0.75 * n - 0.125) / (n + 0.25))
 
 
@@ -205,7 +375,7 @@ def xi_hat(n: int, cutoff: int = PIECEWISE_CUTOFF) -> float:
     """
     if n < 2:
         raise ValueError(f"divisor defined for n >= 2, got {n}")
-    base = _blom_range_divisor(n)
+    base = blom_range_divisor(n)
     if n <= cutoff:
         base += delta_hat(n)
     return base
@@ -219,10 +389,24 @@ def eta_hat(
     """Divisor turning an observed IQR into an SD estimate."""
     if n < 2:
         raise ValueError(f"divisor defined for n >= 2, got {n}")
-    base = _blom_iqr_divisor(n)
+    base = blom_iqr_divisor(n)
     if order is not CorrectionOrder.NONE and n <= cutoff:
         base += epsilon_hat(n, order)
     return base
+
+
+def _one_row(summary, order, scenario, cutoff, with_mean) -> MomentEstimate:
+    est = estimate_columns(*summary.columns(), order, scenario, cutoff)
+    if est.errors:
+        raise ValueError(est.errors[0])
+    return MomentEstimate(
+        mean=float(est.mean[0]) if with_mean else None,
+        sd=float(est.sd[0]),
+        scenario=SCENARIOS[est.scenario[0]],
+        divisor_used=float(est.divisor[0]),
+        correction=order,
+        degenerate=bool(est.degenerate[0]),
+    )
 
 
 def estimate_sd(
@@ -231,42 +415,9 @@ def estimate_sd(
     scenario: Scenario | None = None,
     cutoff: int = PIECEWISE_CUTOFF,
 ) -> MomentEstimate:
-    """Estimate the sample SD from the reported spread.
-
-    C1 divides the range by the corrected range divisor, C3 divides the
-    IQR by the corrected IQR divisor, and C2 averages the two.  A
-    degenerate spread (zero range or zero IQR) yields sd = 0 with the
-    ``degenerate`` flag set rather than an error, so batch pipelines can
-    keep going.
-    """
-    sc = summary.scenario(scenario)
-    n = summary.n
-    if sc is Scenario.C1:
-        spread = summary.max_b - summary.min_a
-        divisor = xi_hat(n, cutoff)
-        sd = spread / divisor
-    elif sc is Scenario.C3:
-        spread = summary.q3 - summary.q1
-        divisor = eta_hat(n, order, cutoff)
-        sd = spread / divisor
-    else:
-        range_div = xi_hat(n, cutoff)
-        iqr_div = eta_hat(n, order, cutoff)
-        sd = 0.5 * (
-            (summary.max_b - summary.min_a) / range_div
-            + (summary.q3 - summary.q1) / iqr_div
-        )
-        spread = (summary.max_b - summary.min_a) + (summary.q3 - summary.q1)
-        # For C2 record the effective divisor total_spread / (2 sd).
-        divisor = spread / (2.0 * sd) if sd > 0 else range_div
-    return MomentEstimate(
-        mean=None,
-        sd=sd,
-        scenario=sc,
-        divisor_used=divisor,
-        correction=order,
-        degenerate=(spread == 0),
-    )
+    """Estimate the sample SD from the reported spread (one row of
+    :func:`estimate_columns`; ``mean`` is left ``None``)."""
+    return _one_row(summary, order, scenario, cutoff, with_mean=False)
 
 
 def estimate_moments(
@@ -275,17 +426,9 @@ def estimate_moments(
     scenario: Scenario | None = None,
     cutoff: int = PIECEWISE_CUTOFF,
 ) -> MomentEstimate:
-    """Convenience wrapper filling both mean and SD in one estimate."""
-    sd_est = estimate_sd(summary, order, scenario, cutoff)
-    mean = estimate_mean(summary, sd_est.scenario)
-    return MomentEstimate(
-        mean=mean,
-        sd=sd_est.sd,
-        scenario=sd_est.scenario,
-        divisor_used=sd_est.divisor_used,
-        correction=sd_est.correction,
-        degenerate=sd_est.degenerate,
-    )
+    """Estimate both mean and SD of one study (one row of
+    :func:`estimate_columns`)."""
+    return _one_row(summary, order, scenario, cutoff, with_mean=True)
 
 
 def required_sample_size(sigma: float, delta: float, alpha: float, beta: float) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tables
-from .specfun import std_normal_quantile
+from .estimators import blom_iqr_divisor, blom_range_divisor
 
 __all__ = [
     "ResidualKind",
@@ -99,10 +99,10 @@ def residual_series(kind: ResidualKind) -> ResidualSeries:
     xi_tab, eta_tab = tables.load_tables()
     ns = np.arange(2, 51)
     if kind is ResidualKind.DELTA:
-        approx = [2.0 * std_normal_quantile((n - 0.375) / (n + 0.25)) for n in ns]
+        approx = [blom_range_divisor(n) for n in ns]
         values = np.array([xi_tab.value(int(n)) for n in ns]) - np.array(approx)
     else:
-        approx = [2.0 * std_normal_quantile((0.75 * n - 0.125) / (n + 0.25)) for n in ns]
+        approx = [blom_iqr_divisor(n) for n in ns]
         values = np.array([eta_tab.value(int(n)) for n in ns]) - np.array(approx)
         if np.any(values <= 0):
             bad = ns[values <= 0]

@@ -1,6 +1,9 @@
 """End-to-end command-line behaviour."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -196,3 +199,19 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--range", "2:99")
         assert code == 2
         assert "limited" in err
+
+    def test_unknown_convention(self, capsys):
+        code, _, err = run(capsys, "oracle", "--range", "2:2", "--convention", "median")
+        assert code == 2
+        assert "quarter-groups" in err
+
+
+def test_import_leaves_scipy_integrate_out():
+    # estimate, the common path, must not pay for the oracle's quadrature.
+    import summarysd
+
+    code = "import sys, summarysd.cli; print('scipy.integrate' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(summarysd.__file__))
+    res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
