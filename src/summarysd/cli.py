@@ -10,6 +10,7 @@ flags and seeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -126,6 +127,15 @@ def _read_chunk(reader, header: list[str]):
     return lines, ids, problems, np.array(ns, dtype=np.int64), cols
 
 
+@contextlib.contextmanager
+def _csv_errors_fatal(path, reader):
+    """Make a ``csv.Error``, such as an over-long cell, fatal."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise FatalCliError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _row_template(fmt: str, order: CorrectionOrder) -> str:
     """``str.format`` template of one output row; its fields are the
     encoded study id, scenario, mean, SD, divisor and degenerate flag."""
@@ -146,8 +156,8 @@ def cmd_estimate(args) -> int:
         fh = open(args.input, newline="")
     except OSError as exc:
         raise FatalCliError(f"cannot read {args.input}: {exc}")
-    with fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(fh)
+    with fh, _csv_errors_fatal(args.input, reader):
         header = next(reader, None)
         if header is None:
             raise FatalCliError(f"{args.input}: empty file, header row required")

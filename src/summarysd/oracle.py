@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
 
 from . import tables
-from .specfun import _quantile_bulk, std_normal_cdf, std_normal_pdf
+from .specfun import std_normal_cdf, std_normal_pdf, std_normal_quantile_vec
 
 __all__ = [
     "QuadratureConfig",
@@ -118,33 +119,53 @@ def expected_range(n: int, cfg: QuadratureConfig = QuadratureConfig()) -> float:
     return value
 
 
+# Per convention: sample size at table index n, fractional rank of
+# quantile p among m.  Quarter-groups is type 7 on 4n + 1 draws, with
+# whole quartile ranks n + 1 and 3n + 1.
+_QUARTILE_RANKS = {
+    QuantileConvention.BLOM_INTERP: (lambda n: n, lambda p, m: p * (m + 0.25) + 0.375),
+    QuantileConvention.TYPE7_INTERP: (lambda n: n, lambda p, m: (m - 1) * p + 1.0),
+    QuantileConvention.NEAREST_RANK: (lambda n: n, lambda p, m: float(round((m + 1) * p))),
+    QuantileConvention.QUARTER_GROUPS: (lambda n: 4 * n + 1, lambda p, m: (m - 1) * p + 1.0),
+}
+
+# The closed interval just inside (0, 1), which the quantile accepts.
+_OPEN_UNIT = (np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+
+def _iqr_weights(n: int, conv: QuantileConvention) -> tuple[int, dict[int, float]]:
+    """Sample size m and the sample IQR as {rank r: weight of X_(r:m)};
+    a quartile at rank h in [1, m] is (1 - frac) X_(lo) + frac X_(lo+1)."""
+    size_of, rank_of = _QUARTILE_RANKS[conv]
+    m = size_of(n)
+    weights = Counter()
+    for sign, p in ((-1.0, 0.25), (1.0, 0.75)):
+        h = min(max(rank_of(p, m), 1.0), float(m))
+        lo, frac = int(h), h % 1.0
+        weights[lo] += sign * (1.0 - frac)
+        weights[lo + 1] += sign * frac
+    return m, {r: w for r, w in sorted(weights.items()) if w}
+
+
 def _chunk_iqr(rng: np.random.Generator, n: int, rows: int, conv: QuantileConvention) -> np.ndarray:
     """IQR of ``rows`` samples under the given convention.
 
-    Sampling is inverse-transform through the audited normal quantile so
-    the oracle has a single accuracy surface.
+    Draws only the order statistics the convention reads, as a chain
+    over its ranks r_1 < ... < r_k of m: U_(r_0) = 0 and
+    U_(r_j) = U_(r_{j-1}) + (1 - U_(r_{j-1})) Beta(r_j - r_{j-1}, m - r_j + 1)
+    (Devroye, Non-Uniform Random Variate Generation, 1986, ch. V; David
+    & Nagaraja, Order Statistics, 2003, sec. 2).  Each is clipped into
+    (0, 1) and mapped through the audited normal quantile, the oracle's
+    single accuracy surface.
     """
-    if conv is QuantileConvention.QUARTER_GROUPS:
-        m = 4 * n + 1
-        z = _quantile_bulk(rng.random((rows, m)))
-        part = np.partition(z, (n, 3 * n), axis=1)
-        return part[:, 3 * n] - part[:, n]
-
-    z = np.sort(_quantile_bulk(rng.random((rows, n))), axis=1)
-    out = []
-    for p in (0.25, 0.75):
-        if conv is QuantileConvention.BLOM_INTERP:
-            h = p * (n + 0.25) + 0.375
-        elif conv is QuantileConvention.TYPE7_INTERP:
-            h = (n - 1) * p + 1.0
-        else:  # NEAREST_RANK
-            h = float(round((n + 1) * p))
-        h = min(max(h, 1.0), float(n))
-        lo = int(math.floor(h))
-        hi = min(lo + 1, n)
-        frac = h - lo
-        out.append(z[:, lo - 1] * (1.0 - frac) + z[:, hi - 1] * frac)
-    return out[1] - out[0]
+    m, weights = _iqr_weights(n, conv)
+    u = np.empty((len(weights), rows))
+    prev_r, prev_u = 0, 0.0
+    for row, r in zip(u, weights):
+        row[:] = prev_u + (1.0 - prev_u) * rng.beta(r - prev_r, m - r + 1, size=rows)
+        prev_r, prev_u = r, row
+    z = std_normal_quantile_vec(np.clip(u, *_OPEN_UNIT))
+    return np.fromiter(weights.values(), float, len(weights)) @ z
 
 
 def expected_iqr(n: int, cfg: McConfig = McConfig()) -> tuple[float, float]:

@@ -2,8 +2,9 @@
 
 Scalar operations carry the accuracy contract the rest of the library
 relies on (absolute error below 1e-12 for the CDF, quantile consistent
-with the CDF to the same level).  A vectorised quantile is provided for
-the Monte Carlo sampler, which evaluates it tens of millions of times.
+with the CDF to the same level).  A vectorised quantile maps the Monte
+Carlo oracle's uniform order statistics to normal ones, a few per
+replication.
 """
 
 from __future__ import annotations
@@ -177,47 +178,3 @@ def std_normal_quantile_vec(p: np.ndarray) -> np.ndarray:
         val[far] = _poly(_E, rf) / _poly(_F, rf)
         out[tail] = np.where(qt < 0.0, -val, val)
     return out
-
-
-try:  # JIT the rational approximation for the Monte Carlo hot path
-    import numba
-
-    @numba.njit(cache=True)
-    def _ppnd16_loop(p, out):  # pragma: no cover - exercised via wrapper
-        for i in range(p.size):
-            pi = p[i]
-            q = pi - 0.5
-            if abs(q) <= 0.425:
-                r = 0.180625 - q * q
-                num = _A[0] + r * (_A[1] + r * (_A[2] + r * (_A[3] + r * (
-                    _A[4] + r * (_A[5] + r * (_A[6] + r * _A[7]))))))
-                den = _B[0] + r * (_B[1] + r * (_B[2] + r * (_B[3] + r * (
-                    _B[4] + r * (_B[5] + r * (_B[6] + r * _B[7]))))))
-                out[i] = q * num / den
-            else:
-                r = pi if q < 0.0 else 1.0 - pi
-                r = math.sqrt(-math.log(r))
-                if r <= 5.0:
-                    r -= 1.6
-                    num = _C[0] + r * (_C[1] + r * (_C[2] + r * (_C[3] + r * (
-                        _C[4] + r * (_C[5] + r * (_C[6] + r * _C[7]))))))
-                    den = _D[0] + r * (_D[1] + r * (_D[2] + r * (_D[3] + r * (
-                        _D[4] + r * (_D[5] + r * (_D[6] + r * _D[7]))))))
-                else:
-                    r -= 5.0
-                    num = _E[0] + r * (_E[1] + r * (_E[2] + r * (_E[3] + r * (
-                        _E[4] + r * (_E[5] + r * (_E[6] + r * _E[7]))))))
-                    den = _F[0] + r * (_F[1] + r * (_F[2] + r * (_F[3] + r * (
-                        _F[4] + r * (_F[5] + r * (_F[6] + r * _F[7]))))))
-                val = num / den
-                out[i] = -val if q < 0.0 else val
-
-    def _quantile_bulk(p: np.ndarray) -> np.ndarray:
-        if p.size and (p.min() <= 0.0 or p.max() >= 1.0):
-            raise ValueError("quantile arguments must lie in (0, 1)")
-        out = np.empty(p.size)
-        _ppnd16_loop(p.ravel(), out)
-        return out.reshape(p.shape)
-
-except ImportError:  # pragma: no cover
-    _quantile_bulk = std_normal_quantile_vec

@@ -6,6 +6,10 @@ published upstream.  They are shipped as a plain tab-separated fixture
 (``data/divisor_tables.tsv``, one line per n: ``n<TAB>xi<TAB>eta``) so
 the transcription is auditable, and are treated as ground truth by the
 correction formulas and the refitting pipeline.
+
+Each entry is the exact value rounded half up to 4 decimals, then to 3;
+so xi(12) (3.2584553 -> 3.2585 -> 3.259), eta(12) (1.3104663 -> 1.311)
+and eta(24) (1.3294858 -> 1.330) differ from a single rounding.
 """
 
 from __future__ import annotations

@@ -88,6 +88,14 @@ class TestEstimate:
         assert code == 2
         assert "error:" in err
 
+    def test_overlong_cell_is_fatal(self, capsys, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("study_id,n,min,median,max\na,10,0,4," + "9" * 200_000 + "\nb,10,0,4,10\n")
+        code, _, err = run(capsys, "estimate", str(path))
+        assert code == 2
+        assert err.startswith(f"error: {path}: line 2: field larger than field limit")
+        assert len(err.splitlines()) == 1
+
     def test_scenario_override(self, capsys, sample_file):
         _, out, _ = run(capsys, "estimate", str(sample_file), "--scenario", "c3")
         rows = out.strip().splitlines()[1:]

@@ -1,20 +1,58 @@
 """Quadrature and Monte Carlo recomputation of the divisor tables."""
 
 import math
+from decimal import ROUND_HALF_UP, Decimal
 
+import numpy as np
 import pytest
+from scipy import integrate, special
 
 from summarysd import tables
 from summarysd.oracle import (
     McConfig,
     QuadratureConfig,
     QuantileConvention,
+    _chunk_iqr,
     expected_iqr,
     expected_range,
     regenerate_tables,
 )
 
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+
+
+def order_stat_mean(k: int, m: int, tol: float = 1e-12) -> float:
+    """E[X_(k:m)] of m standard normals, by quadrature of z times the
+    density of the k-th order statistic."""
+    log_c = special.gammaln(m + 1) - special.gammaln(k) - special.gammaln(m - k + 1)
+
+    def f(z):
+        log_density = (log_c + (k - 1) * special.log_ndtr(z)
+                       + (m - k) * special.log_ndtr(-z) - 0.5 * z * z)
+        return z * math.exp(log_density) / math.sqrt(2.0 * math.pi)
+
+    value, _ = integrate.quad(f, -12.0, 12.0, points=[0.0], epsabs=tol, epsrel=tol, limit=400)
+    return value
+
+
+def exact_iqr(n: int, conv: QuantileConvention) -> float:
+    """Expected sample IQR as a combination of order-statistic means,
+    with each convention's quartile ranks written out here."""
+    if conv is QuantileConvention.QUARTER_GROUPS:
+        return order_stat_mean(3 * n + 1, 4 * n + 1) - order_stat_mean(n + 1, 4 * n + 1)
+    quartiles = []
+    for p in (0.25, 0.75):
+        h = {
+            QuantileConvention.BLOM_INTERP: p * (n + 0.25) + 0.375,
+            QuantileConvention.TYPE7_INTERP: (n - 1) * p + 1.0,
+            QuantileConvention.NEAREST_RANK: float(round((n + 1) * p)),
+        }[conv]
+        h = min(max(h, 1.0), float(n))
+        lo = math.floor(h)
+        frac = h - lo
+        hi_mean = order_stat_mean(lo + 1, n) if frac else 0.0
+        quartiles.append((1.0 - frac) * order_stat_mean(lo, n) + frac * hi_mean)
+    return quartiles[1] - quartiles[0]
 
 
 class TestExpectedRange:
@@ -77,6 +115,31 @@ class TestExpectedIqr:
             assert est > 0
             assert se > 0
 
+    @pytest.mark.parametrize("conv", list(QuantileConvention), ids=lambda c: c.value)
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 50])
+    def test_agrees_with_exact_order_statistics(self, conv, n):
+        cfg = McConfig(replications=200_000, seed=20 + n, quantile_convention=conv)
+        est, se = expected_iqr(n, cfg)
+        assert abs(est - exact_iqr(n, conv)) <= 5 * se
+
+    @pytest.mark.parametrize("conv", list(QuantileConvention), ids=lambda c: c.value)
+    def test_sampler_survives_beta_draws_at_0_and_1(self, conv):
+        class EdgeBeta:
+            """Beta draws of exactly 0.0 and 1.0, every combination over
+            the rows for up to four chained ranks."""
+
+            calls = 0
+
+            def beta(self, a, b, size):
+                bit = (np.arange(size) >> self.calls) & 1
+                self.calls += 1
+                return bit.astype(float)
+
+        for n in (2, 5, 10):
+            iqr = _chunk_iqr(EdgeBeta(), n, 16, conv)
+            assert iqr.shape == (16,)
+            assert np.all(np.isfinite(iqr))
+
     def test_replication_floor(self):
         with pytest.raises(ValueError):
             McConfig(replications=5_000)
@@ -104,3 +167,44 @@ class TestRegeneration:
         assert set(result.xi) == {2, 3}
         # eta column stays blank in fixture format
         assert result.fixture_lines()[0].endswith("\t")
+
+
+def round_half_up(value: float, *places: int) -> float:
+    """Round the exact decimal value of ``value`` half up, to each
+    number of decimal places in turn."""
+    d = Decimal(value)
+    for p in places:
+        d = d.quantize(Decimal(1).scaleb(-p), ROUND_HALF_UP)
+    return float(d)
+
+
+class TestFixtureProvenance:
+    """The fixture holds the exact divisors rounded half up to 4
+    decimals and then to 3.  Rounding once to 3 differs at xi(12),
+    eta(12) and eta(24).  The rounding is decimal: the 4-decimal values
+    4.0855 (xi(30)) and 1.3375 (eta(41)) are ties, which binary floats
+    and ``round`` would break either way."""
+
+    @staticmethod
+    def exact_values():
+        cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
+        xi = {n: expected_range(n, cfg) for n in range(2, 51)}
+        # eta at table index q: sample size 4q + 1, quartiles at ranks
+        # q + 1 and 3q + 1, which are symmetric about the median.
+        eta = {q: 2.0 * order_stat_mean(3 * q + 1, 4 * q + 1, tol=1e-13) for q in range(1, 51)}
+        return xi, eta
+
+    @staticmethod
+    def mismatches(*places):
+        xi_tab, eta_tab = tables.load_tables()
+        xi, eta = TestFixtureProvenance.exact_values()
+        assert len(xi) == 49 and len(eta) == 50
+        bad = [("xi", n) for n, v in xi.items() if round_half_up(v, *places) != xi_tab.value(n)]
+        bad += [("eta", q) for q, v in eta.items() if round_half_up(v, *places) != eta_tab.value(q)]
+        return bad
+
+    def test_double_rounding_reproduces_every_entry(self):
+        assert self.mismatches(4, 3) == []
+
+    def test_single_rounding_misses_exactly_three_entries(self):
+        assert self.mismatches(3) == [("xi", 12), ("eta", 12), ("eta", 24)]
