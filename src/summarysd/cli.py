@@ -13,9 +13,10 @@ import argparse
 import contextlib
 import csv
 import math
+import re
 import sys
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from itertools import compress, zip_longest
 
 import numpy as np
 
@@ -40,7 +41,11 @@ SEPARATORS = {"csv": ",", "tsv": "\t"}
 
 #: Data rows ``estimate`` parses, estimates and writes together; memory
 #: stays bounded whatever the length of the input.
-CHUNK_ROWS = 4096
+CHUNK_ROWS = 1024
+
+# Output labels: scenario names by code, degenerate flags by format.
+_SCENARIO_NAMES = np.array([sc.value for sc in SCENARIOS], dtype=object)
+_FLAGS = {"csv": ("0", "1"), "tsv": ("0", "1"), "jsonl": ("false", "true")}
 
 # Sample sizes must fit the int64 column the estimator takes.
 _N_LIMIT = 2**63
@@ -63,6 +68,16 @@ def _parse_range(text: str, lo: int = 1) -> tuple[int, int]:
     if a < lo or a > b:
         raise FatalCliError(f"invalid range {text!r}: need {lo} <= A <= B")
     return a, b
+
+
+def _check_cutoff(cutoff: int, order: CorrectionOrder) -> None:
+    if cutoff < 2:
+        raise FatalCliError(f"--cutoff must be >= 2, got {cutoff}")
+    if order is CorrectionOrder.SECOND and cutoff > PIECEWISE_CUTOFF:
+        raise FatalCliError(
+            f"--correction second is defined for n <= {PIECEWISE_CUTOFF}, "
+            f"so --cutoff must not exceed it, got {cutoff}"
+        )
 
 
 def _parse_numbers(n_raw: str, cells) -> tuple[int, list[float]]:
@@ -91,40 +106,81 @@ def _parse_numbers(n_raw: str, cells) -> tuple[int, list[float]]:
     return n, values
 
 
-def _read_chunk(reader, header: list[str]):
-    """Parse up to CHUNK_ROWS data rows of ``reader``.
-
-    Returns the physical line number and study id of each row, the
-    rows whose cells do not parse (index -> reason), and the n and
-    value columns (placeholders for those rows).  Blank lines are
-    skipped; cells missing from a short row are empty.
-    """
-    width = len(header)
-    where = {name: i for i, name in enumerate(header)}
-    # Columns absent from the header read the empty cell appended at
-    # index ``width`` of every row.
-    pick = itemgetter(*(where.get(col, width) for col in INPUT_COLUMNS))
-    lines, ids, problems, ns, values = [], [], {}, [], []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != width:
-            row = (row + [""] * width)[:width]
-        row.append("")
-        study_id, n_raw, *cells = pick(row)
+def _parse_rows(n_col, cell_cols):
+    """The n and value columns of a chunk, parsed one row at a time by
+    ``_parse_numbers``, and the rows that do not parse (index -> reason;
+    n = 2 and NaN values stand in for them)."""
+    problems, ns, values = {}, [], []
+    for i, (n_raw, *cells) in enumerate(zip(n_col, *cell_cols)):
         try:
             n, vals = _parse_numbers(n_raw, cells)
         except ValueError as exc:
-            problems[len(ids)] = str(exc)
+            problems[i] = str(exc)
             n, vals = 2, [math.nan] * len(VALUE_COLUMNS)
-        lines.append(reader.line_num)
-        ids.append(study_id.strip())
         ns.append(n)
         values.extend(vals)
-        if len(ids) == CHUNK_ROWS:
-            break
     cols = np.array(values, dtype=float).reshape(-1, len(VALUE_COLUMNS)).T
-    return lines, ids, problems, np.array(ns, dtype=np.int64), cols
+    return np.array(ns, dtype=np.int64), cols, problems
+
+
+def _parse_columns(n_col, cell_cols):
+    """``_parse_rows`` one column at a time.
+
+    Raises ValueError or OverflowError if a cell is not a number as it
+    stands (whitespace-only, say) or n does not fit int64; the caller
+    then parses the chunk by rows.  Rows with a non-finite cell are
+    re-parsed by ``_parse_rows``, which gives their reason.
+    """
+    n = np.array(list(map(int, n_col)), dtype=np.int64)
+    nan = math.nan
+    values = np.array([[float(x) if x else nan for x in col] for col in cell_cols])
+    suspect = np.isinf(values).any(axis=0)
+    for col, parsed in zip(cell_cols, values):
+        missing = np.isnan(parsed)
+        if missing.sum() != col.count(""):  # a cell reads nan
+            suspect |= missing & np.array([x != "" for x in col])
+    problems = {}
+    if suspect.any():
+        rows = np.flatnonzero(suspect)
+        picked = rows.tolist()
+        n[rows], values[:, rows], found = _parse_rows(
+            [n_col[i] for i in picked], [[col[i] for i in picked] for col in cell_cols]
+        )
+        problems = {picked[j]: msg for j, msg in found.items()}
+    return n, values, problems
+
+
+def _read_chunk(reader, header: list[str]):
+    """Read and parse up to CHUNK_ROWS data rows of ``reader``.
+
+    Returns the physical line number and study id of each row, the
+    rows whose cells do not parse (index -> reason), the n and value
+    columns (placeholders for those rows), and the ``csv.Error`` that
+    stopped the reading early, or None.  Blank lines are skipped; cells
+    missing from a short row are empty.
+    """
+    rows, lines, error = [], [], None
+    try:
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
+                if len(rows) == CHUNK_ROWS:
+                    break
+    except csv.Error as exc:
+        error = exc
+    width = len(header)
+    where = {name: i for i, name in enumerate(header)}
+    # Pad to ``width`` columns plus one empty column at index ``width``,
+    # which the columns absent from the header read.
+    columns = list(zip_longest(*rows, fillvalue=""))[:width]
+    columns += [("",) * len(rows)] * (width + 1 - len(columns))
+    study_ids, n_col, *cell_cols = (columns[where.get(col, width)] for col in INPUT_COLUMNS)
+    try:
+        n, values, problems = _parse_columns(n_col, cell_cols)
+    except (ValueError, OverflowError):
+        n, values, problems = _parse_rows(n_col, cell_cols)
+    return lines, list(map(str.strip, study_ids)), problems, n, values, error
 
 
 @contextlib.contextmanager
@@ -137,20 +193,95 @@ def _csv_errors_fatal(path, reader):
 
 
 def _row_template(fmt: str, order: CorrectionOrder) -> str:
-    """``str.format`` template of one output row; its fields are the
+    """printf-style template of one output row; its fields are the
     encoded study id, scenario, mean, SD, divisor and degenerate flag."""
     if fmt == "jsonl":
         # What json.dumps writes for the record, floats by repr.
         return (
-            '{{"study_id": {}, "scenario": "{}", "mean": {!r}, "sd": {!r}, '
-            f'"divisor": {{!r}}, "correction": "{order.value}", "degenerate": {{}}}}}}\n'
+            '{"study_id": %s, "scenario": "%s", "mean": %r, "sd": %r, '
+            f'"divisor": %r, "correction": "{order.value}", "degenerate": %s}}\n'
         )
-    return SEPARATORS[fmt].join(["{}", "{}", "{:.6g}", "{:.6g}", "{:.6g}", order.value, "{}"]) + "\n"
+    return SEPARATORS[fmt].join(["%s", "%s", "%.6g", "%.6g", "%.6g", order.value, "%s"]) + "\n"
+
+
+def _encode_ids(ids: list[str], fmt: str) -> list[str]:
+    """Study ids as written in output rows: JSON strings, or fields that
+    are quoted as ``csv.writer`` quotes them by default, when they hold
+    the separator, a quote or a line break."""
+    if fmt == "jsonl":
+        return list(map(encode_basestring_ascii, ids))
+    special = re.compile(f'[{SEPARATORS[fmt]}"\r\n]')
+    if not special.search("".join(ids)):
+        return ids
+    return ['"' + s.replace('"', '""') + '"' if special.search(s) else s for s in ids]
+
+
+def _shown_id(study_id: str) -> str:
+    """A study id as an ``error:`` line names it: by repr if it holds a
+    character that is not printable, such as a line break."""
+    return study_id if study_id.isprintable() else repr(study_id)
+
+
+def _chunk_output(lines, ids, problems, est, seen_ids, fmt, template) -> tuple[str, str]:
+    """Output rows and ``error:`` lines of one chunk, in row order.
+
+    Adds the ids that now count as seen to ``seen_ids``.  A chunk whose
+    ids are all present, distinct and unseen is written in one pass;
+    any other chunk by ``_output_by_row``.
+    """
+    errors = {**est.errors, **problems}
+    # Rows that are not a valid summary are rejected before their id
+    # counts as seen; rows with no estimate count.
+    rejected = {i for i in errors if i in problems or est.invalid[i]}
+    encoded = _encode_ids(ids, fmt)
+    distinct = set(ids)
+    if "" in distinct or len(distinct) < len(ids) or not seen_ids.isdisjoint(distinct):
+        return _output_by_row(lines, ids, encoded, errors, rejected, est, seen_ids, template, fmt)
+    seen_ids.update(distinct)
+    seen_ids.difference_update(ids[i] for i in rejected)
+    err = [f"error: line {lines[i]} ({_shown_id(ids[i])}): {errors[i]}\n" for i in sorted(errors)]
+    keep = np.ones(len(ids), dtype=bool)
+    keep[list(errors)] = False
+    rows = zip(
+        compress(encoded, keep.tolist()),
+        _SCENARIO_NAMES[est.scenario[keep]],
+        est.mean[keep].tolist(),
+        est.sd[keep].tolist(),
+        est.divisor[keep].tolist(),
+        np.array(_FLAGS[fmt], dtype=object)[est.degenerate[keep].view(np.int8)],
+    )
+    return "".join(map(template.__mod__, rows)), "".join(err)
+
+
+def _output_by_row(lines, ids, encoded, errors, rejected, est, seen_ids, template, fmt):
+    """``_chunk_output`` one row at a time, for chunks with an empty,
+    repeated or already seen id."""
+    flags = _FLAGS[fmt]
+    out, err = [], []
+    for i, (line, study_id, code, mean, sd, divisor, degenerate) in enumerate(zip(
+        lines, ids, est.scenario.tolist(), est.mean.tolist(), est.sd.tolist(),
+        est.divisor.tolist(), est.degenerate.tolist(),
+    )):
+        if not study_id:
+            err.append(f"error: line {line}: empty study_id\n")
+        elif study_id in seen_ids:
+            err.append(f"error: line {line}: duplicate study_id {study_id!r}\n")
+        else:
+            if i not in rejected:
+                seen_ids.add(study_id)
+            if i in errors:
+                err.append(f"error: line {line} ({_shown_id(study_id)}): {errors[i]}\n")
+            else:
+                out.append(template % (
+                    encoded[i], _SCENARIO_NAMES[code], mean, sd, divisor, flags[degenerate],
+                ))
+    return "".join(out), "".join(err)
 
 
 def cmd_estimate(args) -> int:
     order = CorrectionOrder(args.correction)
     override = Scenario(args.scenario) if args.scenario else None
+    _check_cutoff(args.cutoff, order)
 
     try:
         fh = open(args.input, newline="")
@@ -174,52 +305,29 @@ def cmd_estimate(args) -> int:
                 f"expected a subset of {list(INPUT_COLUMNS)}"
             )
 
-        if args.format == "jsonl":
-            encode_id, flags = encode_basestring_ascii, ("false", "true")
-        else:
+        if args.format != "jsonl":
             sys.stdout.write(SEPARATORS[args.format].join(OUTPUT_COLUMNS) + "\n")
-            encode_id, flags = str, ("0", "1")
         template = _row_template(args.format, order)
-        scenario_names = [sc.value for sc in SCENARIOS]
         seen_ids: set[str] = set()
         divisor_memo: dict = {}
         while True:
-            lines, ids, problems, n, values = _read_chunk(reader, header)
-            if not ids:
+            lines, ids, problems, n, values, error = _read_chunk(reader, header)
+            if ids:
+                est = estimate_columns(n, values, order, override, args.cutoff, divisor_memo)
+                out, err = _chunk_output(lines, ids, problems, est, seen_ids, args.format, template)
+                sys.stdout.write(out)
+                sys.stderr.write(err)
+            if error is not None:
+                raise error
+            if len(ids) < CHUNK_ROWS:
                 break
-            est = estimate_columns(n, values, order, override, args.cutoff, divisor_memo)
-            # Rows that are not a valid summary are rejected before their
-            # id counts as seen; rows with no estimate count.
-            rejected = {i: msg for i, msg in est.errors.items() if est.invalid[i]}
-            rejected.update(problems)
-            out, err = [], []
-            for i, (line, study_id, code, mean, sd, divisor, degenerate) in enumerate(zip(
-                lines, ids, est.scenario.tolist(), est.mean.tolist(), est.sd.tolist(),
-                est.divisor.tolist(), est.degenerate.tolist(),
-            )):
-                if not study_id:
-                    err.append(f"error: line {line}: empty study_id\n")
-                elif study_id in seen_ids:
-                    err.append(f"error: line {line}: duplicate study_id {study_id!r}\n")
-                elif i in rejected:
-                    err.append(f"error: line {line} ({study_id}): {rejected[i]}\n")
-                else:
-                    seen_ids.add(study_id)
-                    if i in est.errors:
-                        err.append(f"error: line {line} ({study_id}): {est.errors[i]}\n")
-                    else:
-                        out.append(template.format(
-                            encode_id(study_id), scenario_names[code], mean, sd, divisor,
-                            flags[degenerate],
-                        ))
-            sys.stdout.write("".join(out))
-            sys.stderr.write("".join(err))
     return 0
 
 
 def cmd_tables(args) -> int:
     n_min, n_max = _parse_range(args.range, lo=1)
     order = CorrectionOrder(args.correction)
+    _check_cutoff(args.cutoff, order)
     xi_tab, eta_tab = tables.load_tables()
     out = sys.stdout
     out.write("n\ttable\tasymptotic\tcorrected\tresidual\n")

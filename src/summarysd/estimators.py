@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +117,8 @@ class StudySummary:
     max_b: float | None = None
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"sample size must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError(f"sample size must be >= 2, got {self.n}")
         vals = [
@@ -156,7 +159,7 @@ class MomentEstimate:
     scenario: Scenario
     divisor_used: float
     correction: CorrectionOrder
-    degenerate: bool = False  # spread was exactly zero
+    degenerate: bool = False  # a spread it divides was exactly zero
 
 
 @dataclass(frozen=True)
@@ -174,7 +177,7 @@ class ColumnEstimates:
     mean: np.ndarray
     sd: np.ndarray
     divisor: np.ndarray
-    degenerate: np.ndarray  # the spread the SD divides is exactly zero
+    degenerate: np.ndarray  # a spread the SD divides is exactly zero
     errors: dict[int, str]
     invalid: np.ndarray
 
@@ -275,10 +278,12 @@ def estimate_columns(
     all.  C1 divides the range by ``xi_hat``, C3 the IQR by ``eta_hat``
     and C2 averages the two; the divisors are evaluated once per
     distinct n.  A caller estimating several batches may pass the same
-    dict as ``divisor_memo`` to reuse divisors across them.  A
-    degenerate spread (zero range or zero IQR) yields sd = 0 with the
-    ``degenerate`` flag set rather than an error, so batch pipelines can
-    keep going; so does every other row, with a reason in ``errors``.
+    dict as ``divisor_memo`` to reuse divisors across them.  A zero
+    spread is not an error, so batch pipelines can keep going: a row is
+    flagged ``degenerate`` when a spread its SD divides (the range for
+    C1, the IQR for C3, either for C2) is exactly zero, and its SD is 0
+    when every such spread is.  Every other row also keeps going, with
+    a reason in ``errors``.
     """
     n = np.asarray(n)
     values = np.asarray(values, dtype=float)
@@ -296,21 +301,22 @@ def estimate_columns(
 
     a, q1, m, q3, b = values
     with np.errstate(all="ignore"):
-        range_sd = (b - a) / xi
-        iqr_sd = (q3 - q1) / eta
+        spread_range, spread_iqr = b - a, q3 - q1
+        range_sd = spread_range / xi
+        iqr_sd = spread_iqr / eta
         c2_sd = 0.5 * (range_sd + iqr_sd)
-        c2_spread = (b - a) + (q3 - q1)
         is_c1, is_c3 = codes == _C1, codes == _C3
         sd = np.where(is_c1, range_sd, np.where(is_c3, iqr_sd, c2_sd))
-        spread = np.where(is_c1, b - a, np.where(is_c3, q3 - q1, c2_spread))
+        zero_range, zero_iqr = spread_range == 0, spread_iqr == 0
+        degenerate = np.where(is_c1, zero_range, np.where(is_c3, zero_iqr, zero_range | zero_iqr))
         # For C2 record the effective divisor total_spread / (2 sd).
-        c2_divisor = np.where(c2_sd > 0, c2_spread / (2.0 * c2_sd), xi)
+        c2_divisor = np.where(c2_sd > 0, (spread_range + spread_iqr) / (2.0 * c2_sd), xi)
         divisor = np.where(is_c1, xi, np.where(is_c3, eta, c2_divisor))
         mean = _means(codes, n, values)
         finite = np.isfinite(mean) & np.isfinite(sd) & np.isfinite(divisor)
     for r in np.flatnonzero(~finite).tolist():
         errors.setdefault(r, _OVERFLOW)
-    return ColumnEstimates(codes, mean, sd, divisor, spread == 0, errors, invalid)
+    return ColumnEstimates(codes, mean, sd, divisor, degenerate, errors, invalid)
 
 
 def estimate_mean(

@@ -96,6 +96,18 @@ class TestEstimate:
         assert err.startswith(f"error: {path}: line 2: field larger than field limit")
         assert len(err.splitlines()) == 1
 
+    def test_rows_before_an_overlong_cell_are_written(self, capsys, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("study_id,n,min,median,max\na,10,0,4,10\nb,12,0,3,9\nc,20,1,2,3\n"
+                        "d,10,0,4," + "9" * 200_000 + "\ne,10,0,4,10\n")
+        code, out, err = run(capsys, "estimate", str(path))
+        assert code == 2
+        lines = out.splitlines()
+        assert lines[0] == "study_id,scenario,mean,sd,divisor,correction,degenerate"
+        assert [line.split(",")[0] for line in lines[1:]] == ["a", "b", "c"]
+        assert err.startswith(f"error: {path}: line 5: field larger than field limit")
+        assert len(err.splitlines()) == 1
+
     def test_scenario_override(self, capsys, sample_file):
         _, out, _ = run(capsys, "estimate", str(sample_file), "--scenario", "c3")
         rows = out.strip().splitlines()[1:]
@@ -212,6 +224,26 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--range", "2:2", "--convention", "median")
         assert code == 2
         assert "quarter-groups" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--cutoff", "1"], "--cutoff must be >= 2, got 1", id="1"),
+    pytest.param(["--cutoff", "-5"], "--cutoff must be >= 2, got -5", id="-5"),
+    pytest.param(
+        ["--correction", "second", "--cutoff", "51"],
+        "--correction second is defined for n <= 50, so --cutoff must not exceed it, got 51",
+        id="second-51",
+    ),
+])
+@pytest.mark.parametrize("command", ["estimate", "tables"])
+def test_bad_cutoff_is_fatal(capsys, sample_file, command, argv, message):
+    if command == "estimate":
+        argv = [str(sample_file)] + argv
+    else:
+        argv = ["--which", "eta", "--range", "2:60"] + argv
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2
+    assert (out, err) == ("", f"error: {message}\n")
 
 
 def test_import_leaves_scipy_integrate_out():

@@ -86,9 +86,9 @@ def reference(text: str, fmt: str, correction: str, override, cutoff: int = 50):
     order = CorrectionOrder(correction)
     out, err = [], []
     if fmt != "jsonl":
-        out.append({"csv": ",", "tsv": "\t"}[fmt].join(cli.OUTPUT_COLUMNS))
+        out.append(csv_line(cli.OUTPUT_COLUMNS, fmt))
     seen = set()
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader)
     for row in reader:
         if not row:
@@ -96,6 +96,7 @@ def reference(text: str, fmt: str, correction: str, override, cutoff: int = 50):
         line = reader.line_num
         cell = dict(zip(header, row))
         sid = cell.get("study_id", "").strip()
+        shown = sid if sid.isprintable() else repr(sid)
         if not sid:
             err.append(f"error: line {line}: empty study_id")
             continue
@@ -105,13 +106,13 @@ def reference(text: str, fmt: str, correction: str, override, cutoff: int = 50):
         try:
             summary = reference_summary(cell)
         except ValueError as exc:
-            err.append(f"error: line {line} ({sid}): {exc}")
+            err.append(f"error: line {line} ({shown}): {exc}")
             continue
         seen.add(sid)
         try:
             rec = reference_row(summary, order, override, cutoff)
         except ValueError as exc:
-            err.append(f"error: line {line} ({sid}): {exc}")
+            err.append(f"error: line {line} ({shown}): {exc}")
             continue
         sc, mean, sd, divisor, degenerate = rec
         if fmt == "jsonl":
@@ -120,11 +121,19 @@ def reference(text: str, fmt: str, correction: str, override, cutoff: int = 50):
                 "correction": correction, "degenerate": degenerate,
             }))
         else:
-            out.append({"csv": ",", "tsv": "\t"}[fmt].join([
+            out.append(csv_line([
                 sid, sc, format(mean, ".6g"), format(sd, ".6g"), format(divisor, ".6g"),
                 correction, "1" if degenerate else "0",
-            ]))
+            ], fmt))
     return "".join(x + "\n" for x in out), "".join(x + "\n" for x in err)
+
+
+def csv_line(fields, fmt: str) -> str:
+    """One row as ``csv.writer`` writes it by default (quoting fields that
+    hold the separator, a quote, or a \\r or \\n), without its line end."""
+    buf = io.StringIO()
+    csv.writer(buf, delimiter={"csv": ",", "tsv": "\t"}[fmt]).writerow(fields)
+    return buf.getvalue().removesuffix("\r\n")
 
 
 def reference_summary(cell: dict) -> StudySummary:
@@ -165,12 +174,14 @@ def reference_row(s: StudySummary, order, override, cutoff):
     a, q1, m, q3, b, n = s.min_a, s.q1, s.median_m, s.q3, s.max_b, s.n
     if sc == "c1":
         spread = b - a
+        degenerate = spread == 0
         divisor = xi_hat(n, cutoff)
         sd = spread / divisor
         mean = (a + 2 * m + b) / 4.0
         mean += (a - 2 * m + b) / (4.0 * n)
     elif sc == "c3":
         spread = q3 - q1
+        degenerate = spread == 0
         divisor = eta_hat(n, order, cutoff)
         sd = spread / divisor
         mean = (q1 + m + q3) / 3.0
@@ -179,11 +190,12 @@ def reference_row(s: StudySummary, order, override, cutoff):
         iqr_div = eta_hat(n, order, cutoff)
         sd = 0.5 * ((b - a) / range_div + (q3 - q1) / iqr_div)
         spread = (b - a) + (q3 - q1)
+        degenerate = b - a == 0 or q3 - q1 == 0
         divisor = spread / (2.0 * sd) if sd > 0 else range_div
         mean = (a + 2 * q1 + 2 * m + 2 * q3 + b) / 8.0
     if not all(map(math.isfinite, (mean, sd, divisor))):
         raise ValueError("estimate overflows double precision")
-    return sc, mean, sd, divisor, spread == 0
+    return sc, mean, sd, divisor, degenerate
 
 
 def run(capsys, *argv):
@@ -231,13 +243,13 @@ def test_mixed_file_covers_the_cases(capsys, mixed_file):
 
 def test_cutoff_and_second_order_errors_name_the_row(capsys, tmp_path):
     path = tmp_path / "c3.csv"
-    path.write_text("study_id,n,q1,median,q3\nok,20,1,2,3\nbig,60,1,2,3\n")
+    path.write_text("study_id,n,q1,median,q3\nok,20,1,2,3\nsmall,2,1,2,3\n")
     code, out, err = run(capsys, "estimate", str(path), "--correction", "second",
-                         "--cutoff", "60")
+                         "--cutoff", "30")
     assert code == 0
     assert out.splitlines()[1].startswith("ok,c3,")
-    assert err == ("error: line 3 (big): second-order correction is defined for "
-                   "3 <= n <= 50, got 60\n")
+    assert err == ("error: line 3 (small): second-order correction is defined for "
+                   "3 <= n <= 50, got 2\n")
 
 
 def test_bad_number_prefixed_once(capsys, tmp_path):
@@ -287,6 +299,146 @@ def test_sample_size_beyond_int64_is_a_row_error(capsys, tmp_path):
     assert code == 0
     assert err == f"error: line 2 (b): n={big!r} is out of range\n"
     assert out.splitlines()[1].startswith("c,c3,")
+
+
+# One chunk of C1, C2 and C3 rows: every value column has empty cells.
+CHUNK = [
+    ["a", "10", "0", "", "4", "", "10"],
+    ["b", "12", "0", "2", "3", "5", "9"],
+    ["c", "20", "", "1", "2", "3", ""],
+    ["d", "9", "5", "", "5", "", "5"],
+    ["e", "30", "-1", "", "0.5", "", "7.25"],
+]
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """How ``estimate`` parsed ("columns" or "rows") and wrote ("at once"
+    or "by row") each chunk, and the n cells ``_parse_numbers`` read."""
+    taken = {"parse": [], "write": [], "reparsed": []}
+    parse_columns, chunk_output = cli._parse_columns, cli._chunk_output
+    output_by_row, parse_numbers = cli._output_by_row, cli._parse_numbers
+
+    def by_columns(*args):
+        try:
+            result = parse_columns(*args)
+        except (ValueError, OverflowError):
+            taken["parse"].append("rows")
+            raise
+        taken["parse"].append("columns")
+        return result
+
+    def output(*args):
+        taken["write"].append("at once")
+        return chunk_output(*args)
+
+    def by_row(*args):
+        taken["write"][-1] = "by row"
+        return output_by_row(*args)
+
+    def numbers(n_raw, cells):
+        taken["reparsed"].append(n_raw)
+        return parse_numbers(n_raw, cells)
+
+    monkeypatch.setattr(cli, "_parse_columns", by_columns)
+    monkeypatch.setattr(cli, "_chunk_output", output)
+    monkeypatch.setattr(cli, "_output_by_row", by_row)
+    monkeypatch.setattr(cli, "_parse_numbers", numbers)
+    return taken
+
+
+@pytest.mark.parametrize("column, cell, parse, reparsed", [
+    ("q1", "nan", "columns", 1),  # next to empty cells of its column
+    ("min", "NaN", "columns", 1),
+    ("max", "-inf", "columns", 1),
+    ("median", "1e400", "columns", 1),
+    ("max", " 1_0 ", "columns", 0),  # float() reads it as it stands
+    ("n", " 7 ", "columns", 0),
+    ("q1", "  ", "rows", 6),  # empty once stripped, which only the rows path does
+    ("median", "zz", "rows", 6),
+    ("n", str(2**63), "rows", 6),
+    ("n", "2.5", "rows", 6),
+])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_both_parse_paths_match_the_reference(
+    capsys, tmp_path, paths, fmt, column, cell, parse, reparsed
+):
+    good = tmp_path / "good.csv"
+    write_rows(good, CHUNK)
+    _, good_out, good_err = run(capsys, "estimate", str(good), "--format", fmt)
+    assert good_err == "" and paths["parse"] == ["columns"] and not paths["reparsed"]
+
+    odd = ["odd", "15", "1", "2", "3", "4", "5"]
+    odd[HEADER.index(column)] = cell
+    path = tmp_path / "odd.csv"
+    write_rows(path, CHUNK[:2] + [odd] + CHUNK[2:])
+    paths["parse"].clear()
+    code, out, err = run(capsys, "estimate", str(path), "--format", fmt)
+    assert code == 0
+    assert paths["parse"] == [parse]
+    assert len(paths["reparsed"]) == reparsed
+    assert (out, err) == reference(path.read_text(), fmt, "first", None)
+    # The other rows of the chunk keep their bytes whichever path parsed it.
+    others = [line for line in out.splitlines(keepends=True)
+              if not line.startswith(("odd,", "odd\t", '{"study_id": "odd"'))]
+    assert "".join(others) == good_out
+
+
+VALID = ["10", "0", "", "4", "", "10"]
+UNORDERED = ["10", "9", "", "4", "", "1"]
+MEDIAN_ONLY = ["10", "", "", "4", "", ""]
+
+
+@pytest.mark.parametrize("ids, first, write", [
+    ("abcd", VALID, ["at once", "at once"]),
+    ("abad", VALID, ["at once", "by row"]),  # an id seen in an earlier chunk
+    ("aacd", VALID, ["by row", "at once"]),  # repeated within the chunk
+    ("a cd", VALID, ["by row", "at once"]),  # empty
+    ("abad", UNORDERED, ["at once", "at once"]),  # a rejected row's id is not seen
+    ("abad", MEDIAN_ONLY, ["at once", "by row"]),  # the id of a row with no estimate is
+])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_chunks_with_empty_or_repeated_ids_are_written_by_row(
+    capsys, monkeypatch, tmp_path, paths, fmt, ids, first, write
+):
+    rows = [[sid.strip()] + (first if k == 0 else VALID) for k, sid in enumerate(ids)]
+    path = tmp_path / "ids.csv"
+    write_rows(path, rows)
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 2)
+    code, out, err = run(capsys, "estimate", str(path), "--format", fmt)
+    assert code == 0
+    assert paths["write"] == write
+    assert (out, err) == reference(path.read_text(), fmt, "first", None)
+
+
+def test_ids_with_separators_quotes_and_line_breaks(capsys, tmp_path):
+    ids = ["a,b", "tab\there", 'say "hi"', "two\nlines", "cr\rlf", "plain"]
+    path = tmp_path / "ids.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(HEADER)
+        writer.writerows([sid, "10", "0", "", "4", "", "10"] for sid in ids)
+        writer.writerows([sid + "!", "x", "", "", "", "", ""] for sid in ids)
+    with open(path, newline="") as fh:
+        text = fh.read()
+    for fmt in FORMATS:
+        code, out, err = run(capsys, "estimate", str(path), "--format", fmt)
+        assert code == 0
+        assert (out, err) == reference(text, fmt, "first", None)
+        if fmt == "jsonl":
+            assert [json.loads(line)["study_id"] for line in out.splitlines()] == ids
+        else:
+            rows = list(csv.reader(io.StringIO(out, newline=""), delimiter=cli.SEPARATORS[fmt]))
+            assert [row[0] for row in rows[1:]] == ids
+            assert {len(row) for row in rows} == {len(cli.OUTPUT_COLUMNS)}
+        errors = err.splitlines()
+        assert len(errors) == len(ids)
+        # Physical lines: the quoted line breaks take one more line each.
+        assert errors[3:] == [
+            "error: line 14 ('two\\nlines!'): n='x' is not an integer",
+            "error: line 16 ('cr\\rlf!'): n='x' is not an integer",
+            "error: line 17 (plain!): n='x' is not an integer",
+        ]
 
 
 def test_divisors_evaluated_once_per_distinct_n(capsys, monkeypatch, mixed_file):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,15 @@ class TestStudySummary:
     def test_no_scenario(self):
         with pytest.raises(ValueError):
             StudySummary(n=10, median_m=2).scenario()
+
+    @pytest.mark.parametrize("n", [10.5, 10.0, True, "10", None])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(ValueError, match="must be an integer"):
+            StudySummary(n=n, min_a=0, median_m=1, max_b=2)
+
+    @pytest.mark.parametrize("n", [np.int64(10), np.int32(10), np.uint16(10)])
+    def test_numpy_integer_n_accepted(self, n):
+        assert estimate_sd(StudySummary(n=n, min_a=0, median_m=1, max_b=2)).sd > 0
 
 
 class TestEstimateMean:
@@ -168,6 +178,13 @@ class TestEstimateSd:
         est = estimate_sd(s)
         assert est.sd == 0.0
         assert est.degenerate
+
+    def test_c2_zero_iqr_flagged(self):
+        s = StudySummary(n=10, min_a=0, q1=2, median_m=2, q3=2, max_b=5)
+        assert estimate_sd(s).degenerate
+        assert estimate_sd(s).sd > 0
+        assert estimate_sd(s, scenario=Scenario.C3).degenerate
+        assert not estimate_sd(s, scenario=Scenario.C1).degenerate
 
     def test_c1_divides_by_xi(self):
         s = StudySummary(n=10, min_a=0, median_m=4, max_b=10)
