@@ -16,6 +16,7 @@ import math
 import re
 import sys
 from json.encoder import encode_basestring_ascii
+from functools import partial
 from itertools import compress, zip_longest
 
 import numpy as np
@@ -329,23 +330,25 @@ def cmd_tables(args) -> int:
     order = CorrectionOrder(args.correction)
     _check_cutoff(args.cutoff, order)
     xi_tab, eta_tab = tables.load_tables()
+    if args.which == "xi":
+        tab_values, asymptotic = xi_tab, blom_range_divisor
+        divisor = partial(xi_hat, cutoff=args.cutoff)
+    else:
+        tab_values, asymptotic = eta_tab, blom_iqr_divisor
+        divisor = partial(eta_hat, order=order, cutoff=args.cutoff)
     out = sys.stdout
     out.write("n\ttable\tasymptotic\tcorrected\tresidual\n")
     for n in range(n_min, n_max + 1):
-        tab = ""
-        if n <= tables.N_MAX:
-            tab = _fmt(xi_tab.value(n) if args.which == "xi" else eta_tab.value(n))
-        if n < 2:
-            out.write(f"{n}\t{tab}\t\t\t\n")
-            continue
-        if args.which == "xi":
-            asym = blom_range_divisor(n)
-            corrected = xi_hat(n, args.cutoff)
-        else:
-            asym = blom_iqr_divisor(n)
-            corrected = eta_hat(n, order, args.cutoff)
-        residual = _fmt(float(tab) - corrected) if tab else ""
-        out.write(f"{n}\t{tab}\t{_fmt(asym)}\t{_fmt(corrected)}\t{residual}\n")
+        tab = _fmt(tab_values.value(n)) if n <= tables.N_MAX else ""
+        asym = corrected = residual = ""
+        if n >= 2:
+            # The cells of a divisor that n does not have stay empty.
+            with contextlib.suppress(ValueError):
+                asym = _fmt(asymptotic(n))
+                value = divisor(n)
+                corrected = _fmt(value)
+                residual = _fmt(float(tab) - value) if tab else ""
+        out.write(f"{n}\t{tab}\t{asym}\t{corrected}\t{residual}\n")
     return 0
 
 

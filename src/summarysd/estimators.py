@@ -10,7 +10,9 @@ gap to a few thousandths.
 
 The estimates are computed by one columnar core, :func:`estimate_columns`,
 over arrays of studies; :func:`estimate_moments`, :func:`estimate_sd` and
-:func:`estimate_mean` are one-row views of it.
+:func:`estimate_mean` are one-row views of it.  The divisors and their
+corrections take one sample size and return a float, or take an int64
+array of them and return an array of the same floats.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
-from .specfun import std_normal_quantile
+from .specfun import _libm, std_normal_quantile, std_normal_quantile_polished
 
 __all__ = [
     "Scenario",
@@ -74,6 +77,12 @@ _NONFINITE = "summaries must be finite numbers"
 _UNORDERED = "summaries must satisfy min <= Q1 <= median <= Q3 <= max"
 _NO_SCENARIO = "no scenario derivable: need {min, median, max} and/or {Q1, median, Q3}"
 _OVERFLOW = "estimate overflows double precision"
+_DIVISOR_N_MIN = "divisor defined for n >= 2, got {}"
+_CORRECTION_N_MIN = "correction defined for n >= 2, got {}"
+_SECOND_ORDER_DOMAIN = (
+    f"second-order correction is defined for 3 <= n <= {PIECEWISE_CUTOFF}, got {{}}"
+)
+_RANGE_N_TOO_LARGE = "n={} is too large for the range divisor"
 
 # Divisors a memo keeps per (divisor, order, cutoff) before it is
 # emptied, so that inputs with millions of distinct n run in bounded
@@ -231,33 +240,29 @@ def _means(codes: np.ndarray, n: np.ndarray, values: np.ndarray, simple_c1: bool
 
 def _divisor_column(kind, n, need, order, cutoff, memo, errors) -> np.ndarray:
     """``xi_hat`` (kind "xi") or ``eta_hat`` for the rows in ``need``,
-    evaluated once per distinct n and kept in ``memo``; 1.0 elsewhere.
-    Rows whose n has no divisor get an error."""
+    evaluated in one call for the distinct n not yet in ``memo`` and
+    kept there; 1.0 elsewhere.  Rows whose n has no divisor get an
+    error."""
     out = np.ones(n.shape)
     if not need.any():
         return out
     distinct, inverse = np.unique(n[need], return_inverse=True)
-    divisors = np.empty(distinct.size)
-    failed: dict[int, str] = {}
     known = memo.setdefault((kind, order, cutoff), {})
-    for j, k in enumerate(distinct.tolist()):
-        value = known.get(k)
-        if value is None:
-            try:
-                value = xi_hat(k, cutoff) if kind == "xi" else eta_hat(k, order, cutoff)
-            except ValueError as exc:
-                failed[j] = str(exc)
-                value = math.nan
-            else:
-                if len(known) >= _MEMO_LIMIT:
-                    known.clear()
-                known[k] = value
-        divisors[j] = value
+    divisors = np.array([known.get(k, math.nan) for k in distinct.tolist()])
+    miss = np.isnan(divisors)
+    if miss.any():
+        undefined, reason = _no_divisor(kind, distinct, order, cutoff)
+        todo = miss & ~undefined
+        if todo.any():
+            new_n = distinct[todo]
+            new = xi_hat(new_n, cutoff) if kind == "xi" else eta_hat(new_n, order, cutoff)
+            divisors[todo] = new
+            if len(known) + new.size > _MEMO_LIMIT:
+                known.clear()
+            known.update(zip(new_n.tolist(), new.tolist()))
+        for row in np.flatnonzero(need)[undefined[inverse]].tolist():
+            errors.setdefault(row, reason.format(n[row]))
     out[need] = divisors[inverse]
-    if failed:
-        for row, j in zip(np.flatnonzero(need).tolist(), inverse.tolist()):
-            if j in failed:
-                errors.setdefault(row, failed[j])
     return out
 
 
@@ -338,66 +343,108 @@ def estimate_mean(
         return float(_means(codes, n, values, simple_c1)[0])
 
 
-def delta_hat(n: int) -> float:
+def _elementwise(f):
+    """Let ``f``, written over an array of sample sizes, also take one
+    n and return one float."""
+
+    @wraps(f)
+    def over_n(n, *args, **kwargs):
+        if isinstance(n, np.ndarray):
+            return f(n, *args, **kwargs)
+        return float(f(np.array([n]), *args, **kwargs)[0])
+
+    return over_n
+
+
+def _reject(n: np.ndarray, bad: np.ndarray, reason: str) -> None:
+    """Raise ``reason`` for the first n flagged in ``bad``."""
+    if bad.any():
+        raise ValueError(reason.format(n[bad][0]))
+
+
+def _range_position(n: np.ndarray) -> np.ndarray:
+    return (n - 0.375) / (n + 0.25)
+
+
+def _outside_second_order(n: np.ndarray) -> np.ndarray:
+    return (n < 3) | (n > PIECEWISE_CUTOFF)
+
+
+def _no_divisor(kind, n, order, cutoff) -> tuple[np.ndarray, str]:
+    """Which sample sizes of ``n``, all >= 2, ``xi_hat`` (kind "xi") or
+    ``eta_hat`` rejects, and the reason it gives."""
+    if kind == "xi":
+        return _range_position(n) >= 1.0, _RANGE_N_TOO_LARGE
+    if order is CorrectionOrder.SECOND:
+        return (n <= cutoff) & _outside_second_order(n), _SECOND_ORDER_DOMAIN
+    return np.zeros(n.shape, dtype=bool), ""
+
+
+@_elementwise
+def delta_hat(n: int | np.ndarray) -> float | np.ndarray:
     """Additive small-sample correction for the range divisor."""
-    if n < 2:
-        raise ValueError(f"correction defined for n >= 2, got {n}")
-    return DELTA_A + DELTA_B * math.log(n)
+    _reject(n, n < 2, _CORRECTION_N_MIN)
+    return DELTA_A + DELTA_B * _libm(math.log, n)
 
 
-def epsilon_hat(n: int, order: CorrectionOrder = CorrectionOrder.FIRST) -> float:
+@_elementwise
+def epsilon_hat(
+    n: int | np.ndarray, order: CorrectionOrder = CorrectionOrder.FIRST
+) -> float | np.ndarray:
     """Additive small-sample correction for the IQR divisor, in (0, 1)."""
     if order is CorrectionOrder.SECOND:
-        if not 3 <= n <= PIECEWISE_CUTOFF:
-            raise ValueError(
-                f"second-order correction is defined for 3 <= n <= {PIECEWISE_CUTOFF}, got {n}"
-            )
+        _reject(n, _outside_second_order(n), _SECOND_ORDER_DOMAIN)
         c = n - EPSILON2_CENTER
-        return math.exp(n / (EPSILON2_C0 + EPSILON2_C1 * c + EPSILON2_C2 * c * c))
+        return _libm(math.exp, n / (EPSILON2_C0 + EPSILON2_C1 * c + EPSILON2_C2 * c * c))
     if order is not CorrectionOrder.FIRST:
         raise ValueError("epsilon correction order must be FIRST or SECOND")
-    if n < 2:
-        raise ValueError(f"correction defined for n >= 2, got {n}")
-    return math.exp(n / (EPSILON_A + EPSILON_B * n))
+    _reject(n, n < 2, _CORRECTION_N_MIN)
+    return _libm(math.exp, n / (EPSILON_A + EPSILON_B * n))
 
 
-def blom_range_divisor(n: int) -> float:
+@_elementwise
+def blom_range_divisor(n: int | np.ndarray) -> float | np.ndarray:
     """Asymptotic range divisor: twice the normal quantile at Blom's
-    position (n - 3/8) / (n + 1/4) of the sample maximum."""
-    return 2.0 * std_normal_quantile((n - 0.375) / (n + 0.25))
+    position (n - 3/8) / (n + 1/4) of the sample maximum.  Above
+    n = 2**52 the position rounds to 1 and there is no divisor."""
+    p = _range_position(n)
+    _reject(n, p >= 1.0, _RANGE_N_TOO_LARGE)
+    return 2.0 * std_normal_quantile_polished(p)
 
 
-def blom_iqr_divisor(n: int) -> float:
+@_elementwise
+def blom_iqr_divisor(n: int | np.ndarray) -> float | np.ndarray:
     """Asymptotic IQR divisor: twice the normal quantile at Blom's
     position (3n/4 - 1/8) / (n + 1/4) of the third quartile."""
-    return 2.0 * std_normal_quantile((0.75 * n - 0.125) / (n + 0.25))
+    return 2.0 * std_normal_quantile_polished((0.75 * n - 0.125) / (n + 0.25))
 
 
-def xi_hat(n: int, cutoff: int = PIECEWISE_CUTOFF) -> float:
+@_elementwise
+def xi_hat(n: int | np.ndarray, cutoff: int = PIECEWISE_CUTOFF) -> float | np.ndarray:
     """Divisor turning an observed range into an SD estimate.
 
     Asymptotic form plus the log-linear correction for n <= cutoff; the
     asymptotic form alone above it.
     """
-    if n < 2:
-        raise ValueError(f"divisor defined for n >= 2, got {n}")
+    _reject(n, n < 2, _DIVISOR_N_MIN)
     base = blom_range_divisor(n)
-    if n <= cutoff:
-        base += delta_hat(n)
+    small = n <= cutoff
+    base[small] += delta_hat(n[small])
     return base
 
 
+@_elementwise
 def eta_hat(
-    n: int,
+    n: int | np.ndarray,
     order: CorrectionOrder = CorrectionOrder.FIRST,
     cutoff: int = PIECEWISE_CUTOFF,
-) -> float:
+) -> float | np.ndarray:
     """Divisor turning an observed IQR into an SD estimate."""
-    if n < 2:
-        raise ValueError(f"divisor defined for n >= 2, got {n}")
+    _reject(n, n < 2, _DIVISOR_N_MIN)
     base = blom_iqr_divisor(n)
-    if order is not CorrectionOrder.NONE and n <= cutoff:
-        base += epsilon_hat(n, order)
+    if order is not CorrectionOrder.NONE:
+        small = n <= cutoff
+        base[small] += epsilon_hat(n[small], order)
     return base
 
 

@@ -2,14 +2,27 @@
 
 Scalar operations carry the accuracy contract the rest of the library
 relies on (absolute error below 1e-12 for the CDF, quantile consistent
-with the CDF to the same level).  A vectorised quantile maps the Monte
-Carlo oracle's uniform order statistics to normal ones, a few per
-replication.
+with the CDF to the same level).
+
+Both array quantiles evaluate Wichura's PPND16 rational approximation,
+written once in :func:`_ppnd16`.  :func:`std_normal_quantile_polished`,
+with its one-element view :func:`std_normal_quantile`, gives the
+divisors that ``estimate`` prints.  In it numpy does only the correctly
+rounded ``+ - * /`` and ``sqrt``; the transcendental steps (``log`` in
+the approximation, ``exp`` and ``erfc`` in the Newton step) are libm's
+``math.log``, ``math.exp`` and ``math.erfc`` mapped over the array.
+numpy's own ``log`` and ``exp`` differ from libm by one ulp at some
+arguments, which would move printed divisors; mapped libm keeps every
+element bit-identical to a scalar evaluation.
+:func:`std_normal_quantile_vec` maps the Monte Carlo oracle's uniform
+order statistics to normal ones with ``np.log`` and no Newton step:
+speed matters there, and the oracle's seeded digits depend on it.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -17,6 +30,7 @@ __all__ = [
     "std_normal_pdf",
     "std_normal_cdf",
     "std_normal_quantile",
+    "std_normal_quantile_polished",
     "std_normal_quantile_vec",
 ]
 
@@ -110,56 +124,11 @@ def _poly(coeffs, r):
     return acc
 
 
-def _ppnd16(p: float) -> float:
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return q * _poly(_A, r) / _poly(_B, r)
-    r = p if q < 0.0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        val = _poly(_C, r) / _poly(_D, r)
-    else:
-        r -= 5.0
-        val = _poly(_E, r) / _poly(_F, r)
-    return -val if q < 0.0 else val
-
-
-def std_normal_quantile(p: float) -> float:
-    """Quantile (inverse CDF) of the standard normal.
-
-    Raises
-    ------
-    ValueError
-        If ``p`` is outside the open interval (0, 1).
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile argument must lie in (0, 1), got {p!r}")
-    x = _ppnd16(p)
-    # One Newton step against the CDF; skipped in the far tails where
-    # the density underflows and the rational form is already exact for
-    # double precision purposes.
-    dens = std_normal_pdf(x)
-    if dens > 1e-300:
-        x -= (std_normal_cdf(x) - p) / dens
-    return x
-
-
-def std_normal_quantile_vec(p: np.ndarray) -> np.ndarray:
-    """Vectorised normal quantile for bulk inverse-transform sampling.
-
-    Same rational approximation as :func:`std_normal_quantile`.  The
-    central branch (85% of the unit interval) is evaluated for every
-    element and the tails are patched afterwards, which is much faster
-    than masked evaluation; the Newton polish is omitted because the
-    approximation is already accurate to ~1e-15 (asserted against the
-    scalar version in tests).
-    """
-    p = np.asarray(p, dtype=float)
-    if p.size and (p.min() <= 0.0 or p.max() >= 1.0):
-        raise ValueError("quantile arguments must lie in (0, 1)")
-
+def _ppnd16(p: np.ndarray, log) -> np.ndarray:
+    """PPND16 at every element of ``p`` (in (0, 1)); ``log`` maps an
+    array to its logarithms.  The central branch (85% of the unit
+    interval) is evaluated for every element and the tails are patched
+    afterwards, which is much faster than masked evaluation."""
     q = p - 0.5
     r = 0.180625 - q * q  # negative in the tails; harmless, overwritten
     out = q * _poly(_A, r) / _poly(_B, r)
@@ -168,7 +137,7 @@ def std_normal_quantile_vec(p: np.ndarray) -> np.ndarray:
     if tail.any():
         qt = q[tail]
         pt = p[tail]
-        r = np.sqrt(-np.log(np.where(qt < 0.0, pt, 1.0 - pt)))
+        r = np.sqrt(-log(np.where(qt < 0.0, pt, 1.0 - pt)))
         val = np.empty_like(r)
         near = r <= 5.0
         rn = r[near] - 1.6
@@ -178,3 +147,61 @@ def std_normal_quantile_vec(p: np.ndarray) -> np.ndarray:
         val[far] = _poly(_E, rf) / _poly(_F, rf)
         out[tail] = np.where(qt < 0.0, -val, val)
     return out
+
+
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """``f`` from :mod:`math` mapped over the elements of ``x``."""
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _open_unit(p) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    outside = ~((p > 0.0) & (p < 1.0))
+    if outside.any():
+        raise ValueError(f"quantile argument must lie in (0, 1), got {float(p[outside][0])!r}")
+    return p
+
+
+def std_normal_quantile_polished(p: np.ndarray) -> np.ndarray:
+    """Quantile (inverse CDF) of the standard normal at every element
+    of ``p``, polished by one Newton step against the erfc-based CDF.
+
+    The step is skipped in the far tails, where the density underflows
+    and the rational form is already exact for double precision
+    purposes.
+
+    Raises
+    ------
+    ValueError
+        If an element of ``p`` is outside the open interval (0, 1).
+    """
+    p = _open_unit(p)
+    x = _ppnd16(p, partial(_libm, math.log))
+    # std_normal_pdf and std_normal_cdf, with numpy doing the arithmetic.
+    dens = _libm(math.exp, -0.5 * x * x) / _SQRT_2PI
+    cdf = 0.5 * _libm(math.erfc, -x / _SQRT2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dens > 1e-300, x - (cdf - p) / dens, x)
+
+
+def std_normal_quantile(p: float) -> float:
+    """Quantile (inverse CDF) of the standard normal: one element of
+    :func:`std_normal_quantile_polished`.
+
+    Raises
+    ------
+    ValueError
+        If ``p`` is outside the open interval (0, 1).
+    """
+    return float(std_normal_quantile_polished(np.array([p], dtype=float))[0])
+
+
+def std_normal_quantile_vec(p: np.ndarray) -> np.ndarray:
+    """Normal quantile for bulk inverse-transform sampling.
+
+    The rational approximation of :func:`std_normal_quantile_polished`
+    with numpy's ``log`` and without the Newton polish: the
+    approximation alone is accurate to ~1e-15 (asserted against the
+    polished quantile in tests).
+    """
+    return _ppnd16(_open_unit(p), np.log)

@@ -149,6 +149,16 @@ class TestTables:
             assert cols[1] == ""  # no table value
             assert cols[2] != "" and cols[3] != ""
 
+    def test_second_order_leaves_rows_without_divisor_empty(self, capsys):
+        code, out, err = run(capsys, "tables", "--which", "eta", "--correction", "second",
+                             "--range", "2:4")
+        assert (code, err) == (0, "")
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["2", "3", "4"]
+        # n = 2 has a table value and an asymptote but no second-order divisor.
+        assert rows[0][1:3] == ["1.144", "0.564432"] and rows[0][3:] == ["", ""]
+        assert all(cell != "" for row in rows[1:] for cell in row)
+
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "tables", "--range", "9:2")
         assert code == 2

@@ -2,7 +2,8 @@
 
 The reference here is the per-row computation the core replaced: parse
 one row, validate it, pick its scenario and divide its spread by the
-scalar ``xi_hat``/``eta_hat``.  Output must match it byte for byte.
+scalar divisors of ``scalar_reference``.  Output must match it byte for
+byte.
 """
 
 import csv
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import scalar_reference as ref
 from summarysd import cli
 from summarysd.estimators import (
     CorrectionOrder,
@@ -25,8 +27,6 @@ from summarysd.estimators import (
     estimate_columns,
     estimate_mean,
     estimate_moments,
-    eta_hat,
-    xi_hat,
 )
 
 HEADER = ("study_id", "n", "min", "q1", "median", "q3", "max")
@@ -175,19 +175,19 @@ def reference_row(s: StudySummary, order, override, cutoff):
     if sc == "c1":
         spread = b - a
         degenerate = spread == 0
-        divisor = xi_hat(n, cutoff)
+        divisor = ref.xi_hat(n, cutoff)
         sd = spread / divisor
         mean = (a + 2 * m + b) / 4.0
         mean += (a - 2 * m + b) / (4.0 * n)
     elif sc == "c3":
         spread = q3 - q1
         degenerate = spread == 0
-        divisor = eta_hat(n, order, cutoff)
+        divisor = ref.eta_hat(n, order, cutoff)
         sd = spread / divisor
         mean = (q1 + m + q3) / 3.0
     else:
-        range_div = xi_hat(n, cutoff)
-        iqr_div = eta_hat(n, order, cutoff)
+        range_div = ref.xi_hat(n, cutoff)
+        iqr_div = ref.eta_hat(n, order, cutoff)
         sd = 0.5 * ((b - a) / range_div + (q3 - q1) / iqr_div)
         spread = (b - a) + (q3 - q1)
         degenerate = b - a == 0 or q3 - q1 == 0
@@ -252,6 +252,20 @@ def test_cutoff_and_second_order_errors_name_the_row(capsys, tmp_path):
                    "3 <= n <= 50, got 2\n")
 
 
+def test_second_order_beyond_its_domain_is_a_row_error():
+    # Only the Python API accepts a second-order cutoff above 50.
+    n = np.array([2, 3, 50, 51, 60, 61])
+    values = np.array([[np.nan] * 6, [1.0] * 6, [2.0] * 6, [3.0] * 6, [np.nan] * 6])
+    est = estimate_columns(n, values, CorrectionOrder.SECOND, cutoff=60)
+    assert est.errors == {
+        row: f"second-order correction is defined for 3 <= n <= 50, got {n[row]}"
+        for row in (0, 3, 4)
+    }
+    assert est.divisor[[1, 2, 5]].tolist() == [
+        ref.eta_hat(k, CorrectionOrder.SECOND, 60) for k in (3, 50, 61)
+    ]
+
+
 def test_bad_number_prefixed_once(capsys, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("study_id,n,min,median,max\ne3,10,0,zz,10\n")
@@ -299,6 +313,22 @@ def test_sample_size_beyond_int64_is_a_row_error(capsys, tmp_path):
     assert code == 0
     assert err == f"error: line 2 (b): n={big!r} is out of range\n"
     assert out.splitlines()[1].startswith("c,c3,")
+
+
+@pytest.mark.parametrize("n", [2**53 + 1, 10**16, 2**62])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_huge_n_has_no_range_divisor(capsys, tmp_path, fmt, n):
+    # The Blom position of the maximum rounds to 1; the IQR's stays near 3/4.
+    path = tmp_path / "huge.csv"
+    write_rows(path, [["c1", str(n), "0", "", "4", "", "10"],
+                      ["c2", str(n), "0", "2", "4", "6", "10"],
+                      ["c3", str(n), "", "2", "4", "6", ""]])
+    code, out, err = run(capsys, "estimate", str(path), "--format", fmt)
+    assert code == 0
+    assert err == (f"error: line 2 (c1): n={n} is too large for the range divisor\n"
+                   f"error: line 3 (c2): n={n} is too large for the range divisor\n")
+    assert len(out.splitlines()) == (1 if fmt == "jsonl" else 2) and "c3" in out
+    assert (out, err) == reference(path.read_text(), fmt, "first", None)
 
 
 # One chunk of C1, C2 and C3 rows: every value column has empty cells.
@@ -444,14 +474,19 @@ def test_ids_with_separators_quotes_and_line_breaks(capsys, tmp_path):
 def test_divisors_evaluated_once_per_distinct_n(capsys, monkeypatch, mixed_file):
     from summarysd import estimators
 
-    calls, chunks = [], []
-    for name in ("xi_hat", "eta_hat"):
+    passed = {"xi_hat": [], "eta_hat": []}
+    chunks = []
+    for name, arrays in passed.items():
         fn = getattr(estimators, name)
-        monkeypatch.setattr(estimators, name, lambda n, *a, _f=fn, _k=name: calls.append((_k, n)) or _f(n, *a))
+        monkeypatch.setattr(estimators, name, lambda n, *a, _f=fn, _s=arrays: _s.append(n.copy()) or _f(n, *a))
     monkeypatch.setattr(cli, "estimate_columns", lambda n, *a: chunks.append(n.size) or estimate_columns(n, *a))
     monkeypatch.setattr(cli, "CHUNK_ROWS", 100)
     run(capsys, "estimate", str(mixed_file))
-    assert calls and len(calls) == len(set(calls))
+    for arrays in passed.values():
+        # At most one call per chunk, and no n evaluated twice in the run.
+        assert 0 < len(arrays) <= len(chunks)
+        ns = np.concatenate(arrays)
+        assert ns.size == np.unique(ns).size
     data_rows = sum(1 for line in mixed_file.read_text().splitlines()[1:] if line)
     assert chunks == [100] * (data_rows // 100) + [data_rows % 100] * (data_rows % 100 > 0)
 
@@ -490,25 +525,47 @@ _CELL = st.one_of(
 )
 
 
-@given(st.lists(st.lists(_CELL, min_size=7, max_size=7), min_size=1, max_size=12),
-       st.sampled_from(CORRECTIONS), st.sampled_from(OVERRIDES))
+# Ids: any cell, or text of separators, quotes and line breaks, which
+# the CSV input quotes and the output must quote or escape again.
+_ID = st.one_of(_CELL, st.lists(st.sampled_from([",", "\t", '"', "\r", "\n", " "]), max_size=3)
+                .map(lambda chars: "x" + "".join(chars) + "x"))
+# The cells of a valid C1, C2 or C3 row, so that ids reach the output.
+_VALID = st.builds(
+    lambda n, vals, present: [str(n)] + [repr(v) if j in present else ""
+                                         for j, v in enumerate(sorted(vals))],
+    st.integers(2, 400),
+    st.lists(st.floats(-1e6, 1e6), min_size=5, max_size=5),
+    st.sampled_from([(0, 2, 4), (0, 1, 2, 3, 4), (1, 2, 3)]),
+)
+
+
+@given(st.lists(st.tuples(_ID, st.one_of(st.lists(_CELL, min_size=6, max_size=6), _VALID)),
+                min_size=1, max_size=12),
+       st.sampled_from(FORMATS), st.sampled_from(CORRECTIONS), st.sampled_from(OVERRIDES))
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_arbitrary_cells_one_outcome_per_row(tmp_path, capsys, rows, correction, override):
+def test_arbitrary_cells_one_outcome_per_row(tmp_path, capsys, rows, fmt, correction, override):
     path = tmp_path / "fuzz.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HEADER)
-        writer.writerows(rows)
-    argv = ["estimate", str(path), "--format", "jsonl", "--correction", correction]
+        writer.writerows([sid, *cells] for sid, cells in rows)
+    with open(path, newline="") as fh:
+        text = fh.read()
+    argv = ["estimate", str(path), "--format", fmt, "--correction", correction]
     if override:
         argv += ["--scenario", override]
     code, out, err = run(capsys, *argv)
     assert code == 0
-    records = [json.loads(line, parse_constant=lambda c: pytest.fail(f"{c} in output"))
-               for line in out.splitlines()]
+    if fmt == "jsonl":
+        records = [json.loads(line, parse_constant=lambda c: pytest.fail(f"{c} in output"))
+                   for line in out.splitlines()]
+        estimates = [[r[k] for k in ("mean", "sd", "divisor")] for r in records]
+    else:
+        records = list(csv.reader(io.StringIO(out, newline=""), delimiter=cli.SEPARATORS[fmt]))[1:]
+        estimates = [[float(x) for x in r[2:5]] for r in records]
     errors = err.splitlines()
     assert len(records) + len(errors) == len(rows)
     lines = [re.match(r"error: line (\d+)[ :]", line).group(1) for line in errors]
     assert len(set(lines)) == len(errors)
-    assert all(math.isfinite(r[k]) for r in records for k in ("mean", "sd", "divisor"))
-    assert (out, err) == reference(path.read_text(), "jsonl", correction, override)
+    assert all(map(math.isfinite, sum(estimates, [])))
+    assert (out, err) == reference(text, fmt, correction, override)

@@ -11,6 +11,7 @@ from summarysd.estimators import (
     CorrectionOrder,
     Scenario,
     StudySummary,
+    blom_range_divisor,
     delta_hat,
     epsilon_hat,
     estimate_mean,
@@ -131,6 +132,24 @@ class TestDivisors:
         from summarysd.specfun import std_normal_quantile
 
         assert xi_hat(51) == 2 * std_normal_quantile(50.625 / 51.25)
+
+    def test_range_divisor_ends_where_blom_position_rounds_to_one(self):
+        assert xi_hat(2**52) == blom_range_divisor(2**52) > 0
+        for n in (2**52 + 1, 2**63 - 1):
+            for divisor in (blom_range_divisor, xi_hat):
+                with pytest.raises(ValueError, match=f"^n={n} is too large for the range divisor$"):
+                    divisor(n)
+        assert eta_hat(2**63 - 1) == pytest.approx(1.349, abs=1e-3)
+
+    def test_one_n_or_an_array_of_n(self):
+        ns = np.array([2, 3, 50, 51, 10**6])
+        assert type(xi_hat(10)) is float and type(eta_hat(10)) is float
+        assert xi_hat(ns).tolist() == [xi_hat(n) for n in ns.tolist()]
+        assert delta_hat(ns).tolist() == [delta_hat(n) for n in ns.tolist()]
+        assert epsilon_hat(ns[1:3], SECOND).tolist() == [epsilon_hat(n, SECOND) for n in (3, 50)]
+        # An array is rejected by the first n without a divisor.
+        with pytest.raises(ValueError, match="got 1$"):
+            xi_hat(np.array([5, 1, 0]))
 
     def test_eta_hat_near_table(self):
         assert eta_hat(10, FIRST) == pytest.approx(1.303, abs=0.030)
