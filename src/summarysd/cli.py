@@ -37,7 +37,6 @@ from .estimators import (
 INPUT_COLUMNS = ("study_id", "n", "min", "q1", "median", "q3", "max")
 REQUIRED_COLUMNS = ("study_id", "n")
 OUTPUT_COLUMNS = ("study_id", "scenario", "mean", "sd", "divisor", "correction", "degenerate")
-VALUE_COLUMNS = INPUT_COLUMNS[2:]
 SEPARATORS = {"csv": ",", "tsv": "\t"}
 
 #: Data rows ``estimate`` parses, estimates and writes together; memory
@@ -81,74 +80,59 @@ def _check_cutoff(cutoff: int, order: CorrectionOrder) -> None:
         )
 
 
-def _parse_numbers(n_raw: str, cells) -> tuple[int, list[float]]:
-    """Sample size and the five summaries of one row (NaN for an empty
-    cell); a ValueError names the first cell that is not a number."""
-    n_raw = n_raw.strip()
-    try:
-        n = int(n_raw)
-    except ValueError:
-        raise ValueError(f"n={n_raw!r} is not an integer") from None
-    if not -_N_LIMIT <= n < _N_LIMIT:
-        raise ValueError(f"n={n_raw!r} is out of range")
-    values = []
-    for col, raw in zip(VALUE_COLUMNS, cells):
-        raw = raw.strip()
-        if not raw:
-            values.append(math.nan)
-            continue
+def _parse_cell(col: str, raw: str):
+    """One cell of column ``col``: n as an int, a value as a float (NaN
+    if the cell is empty).  A ValueError says why the cell is not one."""
+    raw = raw.strip()
+    if col == "n":
         try:
-            x = float(raw)
+            n = int(raw)
         except ValueError:
-            raise ValueError(f"{col}={raw!r} is not a number") from None
-        if not math.isfinite(x):
-            raise ValueError(f"{col}={raw!r} is not a finite number")
-        values.append(x)
-    return n, values
+            raise ValueError(f"n={raw!r} is not an integer") from None
+        if not -_N_LIMIT <= n < _N_LIMIT:
+            raise ValueError(f"n={raw!r} is out of range")
+        return n
+    if not raw:
+        return math.nan
+    try:
+        x = float(raw)
+    except ValueError:
+        raise ValueError(f"{col}={raw!r} is not a number") from None
+    if not math.isfinite(x):
+        raise ValueError(f"{col}={raw!r} is not a finite number")
+    return x
 
 
-def _parse_rows(n_col, cell_cols):
-    """The n and value columns of a chunk, parsed one row at a time by
-    ``_parse_numbers``, and the rows that do not parse (index -> reason;
-    n = 2 and NaN values stand in for them)."""
-    problems, ns, values = {}, [], []
-    for i, (n_raw, *cells) in enumerate(zip(n_col, *cell_cols)):
+def _parse_column(col: str, cells) -> tuple[np.ndarray, dict[int, str]]:
+    """A column of a chunk read whole, with ``int`` (n, as int64) or
+    ``float`` (a value, NaN for an empty cell), and its cells that do not
+    parse (row -> reason).
+
+    Two kinds of cell go through ``_parse_cell``, which gives the reason:
+    a cell that reads infinite or NaN, and every cell of a column whose
+    whole read raises (on a word, a whitespace-only cell or an n beyond
+    int64, say).
+    """
+    try:
+        if col == "n":
+            return np.array(list(map(int, cells)), dtype=np.int64), {}
+        nan = math.nan
+        parsed = np.array([float(x) if x else nan for x in cells])
+        redo = np.isinf(parsed)
+        missing = np.isnan(parsed)
+        if missing.sum() != cells.count(""):  # a cell reads nan
+            redo |= missing & np.array([x != "" for x in cells])
+        redo = np.flatnonzero(redo).tolist()
+    except (ValueError, OverflowError):
+        parsed = np.zeros(len(cells), dtype=np.int64 if col == "n" else float)
+        redo = range(len(cells))
+    problems = {}
+    for i in redo:
         try:
-            n, vals = _parse_numbers(n_raw, cells)
+            parsed[i] = _parse_cell(col, cells[i])
         except ValueError as exc:
             problems[i] = str(exc)
-            n, vals = 2, [math.nan] * len(VALUE_COLUMNS)
-        ns.append(n)
-        values.extend(vals)
-    cols = np.array(values, dtype=float).reshape(-1, len(VALUE_COLUMNS)).T
-    return np.array(ns, dtype=np.int64), cols, problems
-
-
-def _parse_columns(n_col, cell_cols):
-    """``_parse_rows`` one column at a time.
-
-    Raises ValueError or OverflowError if a cell is not a number as it
-    stands (whitespace-only, say) or n does not fit int64; the caller
-    then parses the chunk by rows.  Rows with a non-finite cell are
-    re-parsed by ``_parse_rows``, which gives their reason.
-    """
-    n = np.array(list(map(int, n_col)), dtype=np.int64)
-    nan = math.nan
-    values = np.array([[float(x) if x else nan for x in col] for col in cell_cols])
-    suspect = np.isinf(values).any(axis=0)
-    for col, parsed in zip(cell_cols, values):
-        missing = np.isnan(parsed)
-        if missing.sum() != col.count(""):  # a cell reads nan
-            suspect |= missing & np.array([x != "" for x in col])
-    problems = {}
-    if suspect.any():
-        rows = np.flatnonzero(suspect)
-        picked = rows.tolist()
-        n[rows], values[:, rows], found = _parse_rows(
-            [n_col[i] for i in picked], [[col[i] for i in picked] for col in cell_cols]
-        )
-        problems = {picked[j]: msg for j, msg in found.items()}
-    return n, values, problems
+    return parsed, problems
 
 
 def _read_chunk(reader, header: list[str]):
@@ -156,9 +140,9 @@ def _read_chunk(reader, header: list[str]):
 
     Returns the physical line number and study id of each row, the
     rows whose cells do not parse (index -> reason), the n and value
-    columns (placeholders for those rows), and the ``csv.Error`` that
-    stopped the reading early, or None.  Blank lines are skipped; cells
-    missing from a short row are empty.
+    columns (placeholders for those rows), and the ``csv.Error`` or
+    ``UnicodeDecodeError`` that stopped the reading early, or None.
+    Blank lines are skipped; cells missing from a short row are empty.
     """
     rows, lines, error = [], [], None
     try:
@@ -168,7 +152,7 @@ def _read_chunk(reader, header: list[str]):
                 lines.append(reader.line_num)
                 if len(rows) == CHUNK_ROWS:
                     break
-    except csv.Error as exc:
+    except (csv.Error, UnicodeDecodeError) as exc:
         error = exc
     width = len(header)
     where = {name: i for i, name in enumerate(header)}
@@ -176,21 +160,28 @@ def _read_chunk(reader, header: list[str]):
     # which the columns absent from the header read.
     columns = list(zip_longest(*rows, fillvalue=""))[:width]
     columns += [("",) * len(rows)] * (width + 1 - len(columns))
-    study_ids, n_col, *cell_cols = (columns[where.get(col, width)] for col in INPUT_COLUMNS)
-    try:
-        n, values, problems = _parse_columns(n_col, cell_cols)
-    except (ValueError, OverflowError):
-        n, values, problems = _parse_rows(n_col, cell_cols)
+    study_ids, *cells = (columns[where.get(col, width)] for col in INPUT_COLUMNS)
+    parsed, problems = [], {}
+    for col, col_cells in zip(INPUT_COLUMNS[1:], cells):
+        array, found = _parse_column(col, col_cells)
+        parsed.append(array)
+        for i, reason in found.items():  # a row's first failing cell gives its reason
+            problems.setdefault(i, reason)
+    n, values = parsed[0], np.array(parsed[1:])
+    n[list(problems)], values[:, list(problems)] = 2, math.nan
     return lines, list(map(str.strip, study_ids)), problems, n, values, error
 
 
 @contextlib.contextmanager
-def _csv_errors_fatal(path, reader):
-    """Make a ``csv.Error``, such as an over-long cell, fatal."""
+def _read_errors_fatal(path, reader):
+    """Make a ``csv.Error``, such as an over-long cell, or input that is
+    not UTF-8 fatal."""
     try:
         yield
     except csv.Error as exc:
         raise FatalCliError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FatalCliError(f"{path}: {exc}") from None
 
 
 def _row_template(fmt: str, order: CorrectionOrder) -> str:
@@ -226,57 +217,39 @@ def _shown_id(study_id: str) -> str:
 def _chunk_output(lines, ids, problems, est, seen_ids, fmt, template) -> tuple[str, str]:
     """Output rows and ``error:`` lines of one chunk, in row order.
 
-    Adds the ids that now count as seen to ``seen_ids``.  A chunk whose
-    ids are all present, distinct and unseen is written in one pass;
-    any other chunk by ``_output_by_row``.
+    Adds the ids that now count as seen to ``seen_ids``.  An empty or
+    already seen id is the row's error, in place of any other.
     """
-    errors = {**est.errors, **problems}
+    errors = {
+        i: f" ({_shown_id(ids[i])}): {reason}" for i, reason in {**est.errors, **problems}.items()
+    }
     # Rows that are not a valid summary are rejected before their id
     # counts as seen; rows with no estimate count.
     rejected = {i for i in errors if i in problems or est.invalid[i]}
-    encoded = _encode_ids(ids, fmt)
     distinct = set(ids)
     if "" in distinct or len(distinct) < len(ids) or not seen_ids.isdisjoint(distinct):
-        return _output_by_row(lines, ids, encoded, errors, rejected, est, seen_ids, template, fmt)
-    seen_ids.update(distinct)
-    seen_ids.difference_update(ids[i] for i in rejected)
-    err = [f"error: line {lines[i]} ({_shown_id(ids[i])}): {errors[i]}\n" for i in sorted(errors)]
+        for i, study_id in enumerate(ids):
+            if not study_id:
+                errors[i] = ": empty study_id"
+            elif study_id in seen_ids:
+                errors[i] = f": duplicate study_id {study_id!r}"
+            elif i not in rejected:
+                seen_ids.add(study_id)
+    else:
+        seen_ids.update(distinct)
+        seen_ids.difference_update(ids[i] for i in rejected)
     keep = np.ones(len(ids), dtype=bool)
     keep[list(errors)] = False
     rows = zip(
-        compress(encoded, keep.tolist()),
+        compress(_encode_ids(ids, fmt), keep.tolist()),
         _SCENARIO_NAMES[est.scenario[keep]],
         est.mean[keep].tolist(),
         est.sd[keep].tolist(),
         est.divisor[keep].tolist(),
         np.array(_FLAGS[fmt], dtype=object)[est.degenerate[keep].view(np.int8)],
     )
-    return "".join(map(template.__mod__, rows)), "".join(err)
-
-
-def _output_by_row(lines, ids, encoded, errors, rejected, est, seen_ids, template, fmt):
-    """``_chunk_output`` one row at a time, for chunks with an empty,
-    repeated or already seen id."""
-    flags = _FLAGS[fmt]
-    out, err = [], []
-    for i, (line, study_id, code, mean, sd, divisor, degenerate) in enumerate(zip(
-        lines, ids, est.scenario.tolist(), est.mean.tolist(), est.sd.tolist(),
-        est.divisor.tolist(), est.degenerate.tolist(),
-    )):
-        if not study_id:
-            err.append(f"error: line {line}: empty study_id\n")
-        elif study_id in seen_ids:
-            err.append(f"error: line {line}: duplicate study_id {study_id!r}\n")
-        else:
-            if i not in rejected:
-                seen_ids.add(study_id)
-            if i in errors:
-                err.append(f"error: line {line} ({_shown_id(study_id)}): {errors[i]}\n")
-            else:
-                out.append(template % (
-                    encoded[i], _SCENARIO_NAMES[code], mean, sd, divisor, flags[degenerate],
-                ))
-    return "".join(out), "".join(err)
+    err = "".join(f"error: line {lines[i]}{errors[i]}\n" for i in sorted(errors))
+    return "".join(map(template.__mod__, rows)), err
 
 
 def cmd_estimate(args) -> int:
@@ -285,22 +258,21 @@ def cmd_estimate(args) -> int:
     _check_cutoff(args.cutoff, order)
 
     try:
-        fh = open(args.input, newline="")
+        fh = open(args.input, newline="", encoding="utf-8")
     except OSError as exc:
         raise FatalCliError(f"cannot read {args.input}: {exc}")
     reader = csv.reader(fh)
-    with fh, _csv_errors_fatal(args.input, reader):
+    with fh, _read_errors_fatal(args.input, reader):
         header = next(reader, None)
         if header is None:
             raise FatalCliError(f"{args.input}: empty file, header row required")
-        unknown = [c for c in header if c not in INPUT_COLUMNS]
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
-        if unknown or missing:
-            parts = []
-            if unknown:
-                parts.append(f"unknown columns {unknown}")
-            if missing:
-                parts.append(f"missing required columns {missing}")
+        faults = {
+            "unknown columns": [c for c in header if c not in INPUT_COLUMNS],
+            "repeated columns": [c for c in dict.fromkeys(header) if header.count(c) > 1],
+            "missing required columns": [c for c in REQUIRED_COLUMNS if c not in header],
+        }
+        parts = [f"{fault} {cols}" for fault, cols in faults.items() if cols]
+        if parts:
             raise FatalCliError(
                 f"{args.input}: malformed header ({'; '.join(parts)}); "
                 f"expected a subset of {list(INPUT_COLUMNS)}"
@@ -323,6 +295,14 @@ def cmd_estimate(args) -> int:
             if len(ids) < CHUNK_ROWS:
                 break
     return 0
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FatalCliError(f"cannot write {path}: {exc}")
 
 
 def cmd_tables(args) -> int:
@@ -368,10 +348,8 @@ def cmd_refit(args) -> int:
             fit = refit.fit_epsilon_linear(series)
     print(fit.format_summary())
     if args.emit_series:
-        with open(args.emit_series, "w") as fh:
-            fh.write("n\tresidual\n")
-            for n, v in zip(series.ns, series.values):
-                fh.write(f"{n}\t{_fmt(float(v))}\n")
+        rows = (f"{n}\t{_fmt(float(v))}\n" for n, v in zip(series.ns, series.values))
+        _write_file(args.emit_series, "n\tresidual\n" + "".join(rows))
     return 0
 
 
@@ -382,9 +360,10 @@ def cmd_oracle(args) -> int:
     if n_max > tables.N_MAX:
         raise FatalCliError(f"oracle range limited to n <= {tables.N_MAX}")
     cfg_q = oracle.QuadratureConfig()
-    cfg_mc = oracle.McConfig(
-        replications=args.reps, seed=args.seed, chunk_size=args.chunk_size
-    )
+    try:
+        cfg_mc = oracle.McConfig(replications=args.reps, seed=args.seed, chunk_size=args.chunk_size)
+    except ValueError as exc:
+        raise FatalCliError(str(exc))
     if args.convention == "all":
         conventions = tuple(oracle.QuantileConvention)
     else:
@@ -400,8 +379,7 @@ def cmd_oracle(args) -> int:
         print(line)
     report = "\n".join(result.report_lines()) + "\n"
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(report)
+        _write_file(args.report, report)
     else:
         sys.stderr.write(report)
     return 0

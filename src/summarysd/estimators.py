@@ -130,6 +130,8 @@ class StudySummary:
             raise ValueError(f"sample size must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError(f"sample size must be >= 2, got {self.n}")
+        if self.n >= 2**63:
+            raise ValueError(f"sample size must be < 2**63, got {self.n}")
         vals = [
             v
             for v in (self.min_a, self.q1, self.median_m, self.q3, self.max_b)

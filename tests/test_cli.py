@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from summarysd.cli import main
+from summarysd.cli import CHUNK_ROWS, main
 
 SAMPLE_CSV = """study_id,n,min,q1,median,q3,max
 alpha,10,0,,4,,10
@@ -107,6 +107,28 @@ class TestEstimate:
         assert [line.split(",")[0] for line in lines[1:]] == ["a", "b", "c"]
         assert err.startswith(f"error: {path}: line 5: field larger than field limit")
         assert len(err.splitlines()) == 1
+
+    def test_repeated_header_column_is_fatal(self, capsys, tmp_path):
+        path = tmp_path / "repeat.csv"
+        path.write_text("study_id,n,n,min,median,max\na,10,20,0,4,10\n")
+        code, out, err = run(capsys, "estimate", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: malformed header (repeated columns ['n']); ")
+        assert len(err.splitlines()) == 1
+
+    def test_input_that_is_not_utf8_is_fatal(self, capsys, tmp_path):
+        # The bad byte lies chunks and decoding blocks past the first row.
+        path = tmp_path / "latin1.csv"
+        rows = "".join(f"s{i},10,0,4,10\n" for i in range(10_000))
+        path.write_bytes(f"study_id,n,min,median,max\n{rows}".encode() + b"caf\xe9,10,0,4,10\n")
+        code, out, err = run(capsys, "estimate", str(path))
+        assert code == 2
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xe9")
+        assert len(err.splitlines()) == 1
+        # The rows decoded before the bad byte are written.
+        ids = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert CHUNK_ROWS <= len(ids) < 10_000
+        assert ids == [f"s{i}" for i in range(len(ids))]
 
     def test_scenario_override(self, capsys, sample_file):
         _, out, _ = run(capsys, "estimate", str(sample_file), "--scenario", "c3")
@@ -254,6 +276,22 @@ def test_bad_cutoff_is_fatal(capsys, sample_file, command, argv, message):
     code, out, err = run(capsys, command, *argv)
     assert code == 2
     assert (out, err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["oracle", "--reps", "5"], "need at least 10^4 replications", id="reps"),
+    pytest.param(["oracle", "--chunk-size", "0"], "chunk size must be positive", id="chunk-size"),
+    pytest.param(["oracle", "--which", "xi", "--range", "2:2", "--report", "{dir}/r.tsv"],
+                 "cannot write {dir}/r.tsv: [Errno 2] No such file or directory", id="report"),
+    pytest.param(["refit", "--kind", "delta", "--emit-series", "{dir}/s.tsv"],
+                 "cannot write {dir}/s.tsv: [Errno 2] No such file or directory", id="emit-series"),
+])
+def test_oracle_and_refit_usage_errors_are_fatal(capsys, tmp_path, argv, message):
+    missing = tmp_path / "missing"
+    code, _, err = run(capsys, *(arg.format(dir=missing) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: " + message.format(dir=missing))
+    assert len(err.splitlines()) == 1
 
 
 def test_import_leaves_scipy_integrate_out():

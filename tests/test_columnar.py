@@ -342,41 +342,29 @@ CHUNK = [
 
 
 @pytest.fixture
-def paths(monkeypatch):
-    """How ``estimate`` parsed ("columns" or "rows") and wrote ("at once"
-    or "by row") each chunk, and the n cells ``_parse_numbers`` read."""
-    taken = {"parse": [], "write": [], "reparsed": []}
-    parse_columns, chunk_output = cli._parse_columns, cli._chunk_output
-    output_by_row, parse_numbers = cli._output_by_row, cli._parse_numbers
+def calls(monkeypatch):
+    """The cells ``_parse_cell`` read, as (column, cell), and the output
+    rows ``_chunk_output`` wrote for each chunk."""
+    taken = {"reparsed": [], "write": []}
+    parse_cell, chunk_output = cli._parse_cell, cli._chunk_output
 
-    def by_columns(*args):
-        try:
-            result = parse_columns(*args)
-        except (ValueError, OverflowError):
-            taken["parse"].append("rows")
-            raise
-        taken["parse"].append("columns")
-        return result
+    def cell(col, raw):
+        taken["reparsed"].append((col, raw))
+        return parse_cell(col, raw)
 
     def output(*args):
-        taken["write"].append("at once")
-        return chunk_output(*args)
+        out, err = chunk_output(*args)
+        taken["write"].append(out)
+        return out, err
 
-    def by_row(*args):
-        taken["write"][-1] = "by row"
-        return output_by_row(*args)
-
-    def numbers(n_raw, cells):
-        taken["reparsed"].append(n_raw)
-        return parse_numbers(n_raw, cells)
-
-    monkeypatch.setattr(cli, "_parse_columns", by_columns)
+    monkeypatch.setattr(cli, "_parse_cell", cell)
     monkeypatch.setattr(cli, "_chunk_output", output)
-    monkeypatch.setattr(cli, "_output_by_row", by_row)
-    monkeypatch.setattr(cli, "_parse_numbers", numbers)
     return taken
 
 
+# ``parse`` says how the column holding the cell is read: whole, with
+# only an infinite or NaN cell read again for its reason ("columns"), or
+# one row at a time because the whole read raises ("rows").
 @pytest.mark.parametrize("column, cell, parse, reparsed", [
     ("q1", "nan", "columns", 1),  # next to empty cells of its column
     ("min", "NaN", "columns", 1),
@@ -384,31 +372,35 @@ def paths(monkeypatch):
     ("median", "1e400", "columns", 1),
     ("max", " 1_0 ", "columns", 0),  # float() reads it as it stands
     ("n", " 7 ", "columns", 0),
-    ("q1", "  ", "rows", 6),  # empty once stripped, which only the rows path does
+    ("q1", "  ", "rows", 6),  # empty only once stripped
     ("median", "zz", "rows", 6),
     ("n", str(2**63), "rows", 6),
     ("n", "2.5", "rows", 6),
 ])
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_both_parse_paths_match_the_reference(
-    capsys, tmp_path, paths, fmt, column, cell, parse, reparsed
+    capsys, tmp_path, calls, fmt, column, cell, parse, reparsed
 ):
     good = tmp_path / "good.csv"
     write_rows(good, CHUNK)
     _, good_out, good_err = run(capsys, "estimate", str(good), "--format", fmt)
-    assert good_err == "" and paths["parse"] == ["columns"] and not paths["reparsed"]
+    assert good_err == "" and not calls["reparsed"]
 
     odd = ["odd", "15", "1", "2", "3", "4", "5"]
     odd[HEADER.index(column)] = cell
+    rows = CHUNK[:2] + [odd] + CHUNK[2:]
     path = tmp_path / "odd.csv"
-    write_rows(path, CHUNK[:2] + [odd] + CHUNK[2:])
-    paths["parse"].clear()
+    write_rows(path, rows)
     code, out, err = run(capsys, "estimate", str(path), "--format", fmt)
     assert code == 0
-    assert paths["parse"] == [parse]
-    assert len(paths["reparsed"]) == reparsed
+    if parse == "columns":
+        read_again = [cell] * reparsed
+    else:
+        read_again = [row[HEADER.index(column)] for row in rows]
+    assert calls["reparsed"] == [(column, raw) for raw in read_again]
+    assert len(calls["reparsed"]) == reparsed
     assert (out, err) == reference(path.read_text(), fmt, "first", None)
-    # The other rows of the chunk keep their bytes whichever path parsed it.
+    # The other rows of the chunk keep their bytes however the cell was read.
     others = [line for line in out.splitlines(keepends=True)
               if not line.startswith(("odd,", "odd\t", '{"study_id": "odd"'))]
     assert "".join(others) == good_out
@@ -419,25 +411,32 @@ UNORDERED = ["10", "9", "", "4", "", "1"]
 MEDIAN_ONLY = ["10", "", "", "4", "", ""]
 
 
+# ``write`` holds the ids each two-row chunk writes an output row for.
 @pytest.mark.parametrize("ids, first, write", [
-    ("abcd", VALID, ["at once", "at once"]),
-    ("abad", VALID, ["at once", "by row"]),  # an id seen in an earlier chunk
-    ("aacd", VALID, ["by row", "at once"]),  # repeated within the chunk
-    ("a cd", VALID, ["by row", "at once"]),  # empty
-    ("abad", UNORDERED, ["at once", "at once"]),  # a rejected row's id is not seen
-    ("abad", MEDIAN_ONLY, ["at once", "by row"]),  # the id of a row with no estimate is
+    ("abcd", VALID, ["ab", "cd"]),
+    ("abad", VALID, ["ab", "d"]),  # an id seen in an earlier chunk
+    ("aacd", VALID, ["a", "cd"]),  # repeated within the chunk
+    ("a cd", VALID, ["a", "cd"]),  # empty
+    ("abad", UNORDERED, ["b", "ad"]),  # a rejected row's id is not seen
+    ("abad", MEDIAN_ONLY, ["b", "d"]),  # the id of a row with no estimate is
 ])
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_chunks_with_empty_or_repeated_ids_are_written_by_row(
-    capsys, monkeypatch, tmp_path, paths, fmt, ids, first, write
+    capsys, monkeypatch, tmp_path, calls, fmt, ids, first, write
 ):
     rows = [[sid.strip()] + (first if k == 0 else VALID) for k, sid in enumerate(ids)]
     path = tmp_path / "ids.csv"
     write_rows(path, rows)
     monkeypatch.setattr(cli, "CHUNK_ROWS", 2)
+
+    def study_id(line):
+        if fmt == "jsonl":
+            return json.loads(line)["study_id"]
+        return line.split(cli.SEPARATORS[fmt])[0]
+
     code, out, err = run(capsys, "estimate", str(path), "--format", fmt)
     assert code == 0
-    assert paths["write"] == write
+    assert ["".join(map(study_id, chunk.splitlines())) for chunk in calls["write"]] == write
     assert (out, err) == reference(path.read_text(), fmt, "first", None)
 
 

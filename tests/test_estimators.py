@@ -64,6 +64,11 @@ class TestStudySummary:
         with pytest.raises(ValueError, match="must be an integer"):
             StudySummary(n=n, min_a=0, median_m=1, max_b=2)
 
+    @pytest.mark.parametrize("n", [2**63, 10**30, np.uint64(2**64 - 1)])
+    def test_n_beyond_int64_rejected(self, n):
+        with pytest.raises(ValueError, match=rf"^sample size must be < 2\*\*63, got {n}$"):
+            StudySummary(n=n, q1=1, median_m=2, q3=3)
+
     @pytest.mark.parametrize("n", [np.int64(10), np.int32(10), np.uint16(10)])
     def test_numpy_integer_n_accepted(self, n):
         assert estimate_sd(StudySummary(n=n, min_a=0, median_m=1, max_b=2)).sd > 0
