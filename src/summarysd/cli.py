@@ -258,7 +258,9 @@ def cmd_estimate(args) -> int:
     _check_cutoff(args.cutoff, order)
 
     try:
-        fh = open(args.input, newline="", encoding="utf-8")
+        # utf-8-sig drops the byte-order mark that spreadsheets put
+        # before the header, and only there.
+        fh = open(args.input, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise FatalCliError(f"cannot read {args.input}: {exc}")
     reader = csv.reader(fh)
@@ -297,12 +299,25 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _write_file(path: str, text: str) -> None:
+def _open_output(path: str | None, default=None):
+    """``path`` opened for writing, or ``default`` wrapped as a context
+    manager when no path is given.  Commands open their output files
+    before they print, so that a path that cannot be written stops the
+    run with no output."""
+    if path is None:
+        return contextlib.nullcontext(default)
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        return open(path, "w")
     except OSError as exc:
         raise FatalCliError(f"cannot write {path}: {exc}")
+
+
+def _write_output(fh, text: str) -> None:
+    try:
+        fh.write(text)
+        fh.flush()
+    except OSError as exc:
+        raise FatalCliError(f"cannot write {fh.name}: {exc}")
 
 
 def cmd_tables(args) -> int:
@@ -346,10 +361,11 @@ def cmd_refit(args) -> int:
             fit = refit.fit_epsilon_quadratic(series)
         else:
             fit = refit.fit_epsilon_linear(series)
-    print(fit.format_summary())
-    if args.emit_series:
-        rows = (f"{n}\t{_fmt(float(v))}\n" for n, v in zip(series.ns, series.values))
-        _write_file(args.emit_series, "n\tresidual\n" + "".join(rows))
+    with _open_output(args.emit_series) as series_out:
+        print(fit.format_summary())
+        if series_out is not None:
+            rows = (f"{n}\t{_fmt(float(v))}\n" for n, v in zip(series.ns, series.values))
+            _write_output(series_out, "n\tresidual\n" + "".join(rows))
     return 0
 
 
@@ -372,16 +388,13 @@ def cmd_oracle(args) -> int:
         except ValueError:
             names = [c.value for c in oracle.QuantileConvention] + ["all"]
             raise FatalCliError(f"--convention must be one of {names}, got {args.convention!r}")
-    result = oracle.regenerate_tables(
-        cfg_q, cfg_mc, n_min, n_max, which=args.which, conventions=conventions
-    )
-    for line in result.fixture_lines():
-        print(line)
-    report = "\n".join(result.report_lines()) + "\n"
-    if args.report:
-        _write_file(args.report, report)
-    else:
-        sys.stderr.write(report)
+    with _open_output(args.report, sys.stderr) as report:
+        result = oracle.regenerate_tables(
+            cfg_q, cfg_mc, n_min, n_max, which=args.which, conventions=conventions
+        )
+        for line in result.fixture_lines():
+            print(line)
+        _write_output(report, "\n".join(result.report_lines()) + "\n")
     return 0
 
 
@@ -426,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--seed", type=int, default=0)
     p_or.add_argument("--chunk-size", type=int, default=100_000)
     # Checked by cmd_oracle, so that building the parser does not import
-    # the oracle (and scipy) for the other subcommands.
+    # the oracle for the other subcommands.
     p_or.add_argument("--convention", default="all",
                       help="quartile convention of the Monte Carlo IQR oracle, or all")
     p_or.add_argument("--report", metavar="PATH", default=None,

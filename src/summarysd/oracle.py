@@ -1,13 +1,24 @@
 """Independent numerical recomputation of the divisor tables.
 
-The expected normalised range is recovered by adaptive quadrature of
-the order-statistic identity
+The expected normalised range is recovered from the order-statistic
+identity
 
     E[X_(n) - X_(1)] = integral of z * n * phi(z)
                        * (Phi(z)^(n-1) - (1 - Phi(z))^(n-1)) dz
 
-and the expected normalised IQR by reproducible Monte Carlo under a
-choice of quantile conventions.  Neither path reuses the correction
+by the trapezoid rule on [-b, b].  The integrand is analytic and
+decays like phi(z), so the rule converges exponentially in the number
+of nodes (Trefethen & Weideman, SIAM Review 56, 2014).  The step is
+halved from 2^4 panels, up to 2^12, until two successive sums agree to
+the tolerance; their difference, but no less than 50 machine epsilons
+of the value, is the error estimate.  The default tolerance of 1e-9 is
+met at 2^6 or 2^7 panels for n = 2..50, and the values agree with an
+independent quadrature over the whole real line to 6e-13, which is
+the tails beyond b = 8 (3e-15 at b = 10).  phi and Phi at the nodes do
+not depend on n and are computed once per (b, level).
+
+The expected normalised IQR is recovered by reproducible Monte Carlo
+under a choice of quantile conventions.  Neither path reuses the correction
 formulas, so either side can audit the other against the fixtures.
 """
 
@@ -17,12 +28,12 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import tables
-from .specfun import std_normal_cdf, std_normal_pdf, std_normal_quantile_vec
+from .specfun import _libm, std_normal_cdf, std_normal_pdf, std_normal_quantile_vec
 
 __all__ = [
     "QuadratureConfig",
@@ -98,20 +109,47 @@ class McConfig:
         return sched
 
 
+# Trapezoid levels: 2**level panels on [-b, b].
+_FIRST_LEVEL, _LAST_LEVEL = 4, 12
+_EPS = np.finfo(float).eps
+
+
+@lru_cache(maxsize=32)
+def _range_nodes(b: float, level: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Step h, z phi(z) and Phi(z) at the 2**level + 1 nodes of [-b, b].
+
+    The nodes are h times whole numbers, so they are exactly symmetric
+    and Phi(-z) is ``Phi(z)`` reversed.  The arrays are read-only: every
+    caller shares them.
+    """
+    half = 2 ** (level - 1)
+    h = b / half
+    z = h * np.arange(-half, half + 1)
+    zpdf = z * _libm(std_normal_pdf, z)
+    cdf = _libm(std_normal_cdf, z)
+    zpdf.flags.writeable = cdf.flags.writeable = False
+    return h, zpdf, cdf
+
+
 def expected_range(n: int, cfg: QuadratureConfig = QuadratureConfig()) -> float:
-    """Expected range of n standard normal observations, by quadrature."""
+    """Expected range of n standard normal observations, by the
+    trapezoid rule with step halving (see the module docstring)."""
     if n < 2:
         raise ValueError(f"expected range defined for n >= 2, got {n}")
 
-    def integrand(z: float) -> float:
-        c = std_normal_cdf(z)
-        return z * n * std_normal_pdf(z) * (c ** (n - 1) - (1.0 - c) ** (n - 1))
-
-    b = cfg.integration_bound
-    value, abserr = quad(
-        integrand, -b, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=200
-    )
-    if abserr > 10 * max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+    value = math.inf
+    for level in range(_FIRST_LEVEL, _LAST_LEVEL + 1):
+        h, zpdf, cdf = _range_nodes(cfg.integration_bound, level)
+        f = n * zpdf * (cdf ** (n - 1) - cdf[::-1] ** (n - 1))
+        previous, value = value, float(h * (f.sum() - 0.5 * (f[0] + f[-1])))
+        # Two sums can agree to the last bit; the estimate is kept above
+        # their rounding error, as in QUADPACK (f >= 0, so the sum of
+        # |f| is the value).
+        abserr = max(abs(value - previous), 50 * _EPS * value)
+        budget = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+        if abserr <= budget:
+            break
+    if abserr > 10 * budget:
         raise QuadratureError(
             f"expected_range(n={n}): error estimate {abserr:.3e} exceeds budget "
             f"(abs_tol={cfg.abs_tol:.1e}, rel_tol={cfg.rel_tol:.1e})"

@@ -116,6 +116,18 @@ class TestEstimate:
         assert err.startswith(f"error: {path}: malformed header (repeated columns ['n']); ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("first_cell", ["study_id", '"study_id"'])
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path, first_cell):
+        # As spreadsheet programs save UTF-8 CSV.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        text = SAMPLE_CSV.replace("study_id", first_cell, 1)
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        expected = run(capsys, "estimate", str(plain))
+        assert expected[0] == 0
+        assert run(capsys, "estimate", str(marked)) == expected
+
     def test_input_that_is_not_utf8_is_fatal(self, capsys, tmp_path):
         # The bad byte lies chunks and decoding blocks past the first row.
         path = tmp_path / "latin1.csv"
@@ -288,10 +300,23 @@ def test_bad_cutoff_is_fatal(capsys, sample_file, command, argv, message):
 ])
 def test_oracle_and_refit_usage_errors_are_fatal(capsys, tmp_path, argv, message):
     missing = tmp_path / "missing"
-    code, _, err = run(capsys, *(arg.format(dir=missing) for arg in argv))
-    assert code == 2
+    code, out, err = run(capsys, *(arg.format(dir=missing) for arg in argv))
+    # An output path is checked before any work, so nothing is printed.
+    assert (code, out) == (2, "")
     assert err.startswith("error: " + message.format(dir=missing))
     assert len(err.splitlines()) == 1
+
+
+def test_commands_import_no_scipy():
+    # scipy is a test dependency only: no command's modules load it.
+    import summarysd
+
+    code = ("import sys, summarysd.cli, summarysd.oracle, summarysd.refit; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(summarysd.__file__))
+    res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"
 
 
 def test_import_leaves_scipy_integrate_out():

@@ -11,6 +11,7 @@ from summarysd import tables
 from summarysd.oracle import (
     McConfig,
     QuadratureConfig,
+    QuadratureError,
     QuantileConvention,
     _chunk_iqr,
     expected_iqr,
@@ -32,6 +33,16 @@ def order_stat_mean(k: int, m: int, tol: float = 1e-12) -> float:
         return z * math.exp(log_density) / math.sqrt(2.0 * math.pi)
 
     value, _ = integrate.quad(f, -12.0, 12.0, points=[0.0], epsabs=tol, epsrel=tol, limit=400)
+    return value
+
+
+def range_reference(n: int) -> float:
+    """E[X_(n:n) - X_(1:n)] as the integral of 1 - Phi^n - (1 - Phi)^n
+    over the whole real line, by adaptive quadrature in log space."""
+    value, _ = integrate.quad(
+        lambda z: -math.expm1(n * special.log_ndtr(z)) - math.exp(n * special.log_ndtr(-z)),
+        -np.inf, np.inf, epsabs=1e-13, epsrel=1e-13, limit=400,
+    )
     return value
 
 
@@ -60,6 +71,11 @@ class TestExpectedRange:
         # E|X - Y| for two independent standard normals, closed form.
         assert expected_range(2) == pytest.approx(TWO_OVER_SQRT_PI, abs=1e-9)
 
+    def test_matches_independent_reference(self):
+        # The trapezoid rule stops at +-8; the tails beyond add < 1e-12.
+        dev = {n: abs(expected_range(n) - range_reference(n)) for n in range(2, 51)}
+        assert max(dev.values()) < 1e-12, dev
+
     def test_matches_table_spot_values(self):
         assert expected_range(50) == pytest.approx(tables.xi_table(50), abs=5e-4)
         assert round(expected_range(2), 3) == 1.128
@@ -77,6 +93,14 @@ class TestExpectedRange:
     def test_domain(self):
         with pytest.raises(ValueError):
             expected_range(1)
+
+    def test_unreachable_tolerance_raises(self):
+        # No error estimate falls below the sum's rounding error.
+        cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
+        with pytest.raises(QuadratureError, match=(
+                r"^expected_range\(n=2\): error estimate \S+ exceeds budget "
+                r"\(abs_tol=1\.0e-300, rel_tol=1\.0e-300\)$")):
+            expected_range(2, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
