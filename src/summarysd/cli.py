@@ -23,6 +23,7 @@ import numpy as np
 
 from . import tables
 from .estimators import (
+    N_LIMIT,
     PIECEWISE_CUTOFF,
     SCENARIOS,
     CorrectionOrder,
@@ -46,9 +47,6 @@ CHUNK_ROWS = 1024
 # Output labels: scenario names by code, degenerate flags by format.
 _SCENARIO_NAMES = np.array([sc.value for sc in SCENARIOS], dtype=object)
 _FLAGS = {"csv": ("0", "1"), "tsv": ("0", "1"), "jsonl": ("false", "true")}
-
-# Sample sizes must fit the int64 column the estimator takes.
-_N_LIMIT = 2**63
 
 
 class FatalCliError(Exception):
@@ -89,7 +87,7 @@ def _parse_cell(col: str, raw: str):
             n = int(raw)
         except ValueError:
             raise ValueError(f"n={raw!r} is not an integer") from None
-        if not -_N_LIMIT <= n < _N_LIMIT:
+        if not -N_LIMIT <= n < N_LIMIT:
             raise ValueError(f"n={raw!r} is out of range")
         return n
     if not raw:
@@ -135,14 +133,29 @@ def _parse_column(col: str, cells) -> tuple[np.ndarray, dict[int, str]]:
     return parsed, problems
 
 
+def _undecodable(rows) -> tuple[int, str] | None:
+    """The index of the first of ``rows`` that holds a byte that is not
+    UTF-8, and what is wrong with it, or None.  Input is decoded with
+    ``surrogateescape``, which turns such a byte into a lone surrogate,
+    the only text that does not encode back to UTF-8."""
+    for i, row in enumerate(rows):
+        try:
+            "".join(row).encode()
+        except UnicodeEncodeError as exc:
+            byte = ord(exc.object[exc.start]) - 0xDC00
+            return i, f"'utf-8' codec can't decode byte 0x{byte:02x}"
+    return None
+
+
 def _read_chunk(reader, header: list[str]):
     """Read and parse up to CHUNK_ROWS data rows of ``reader``.
 
     Returns the physical line number and study id of each row, the
     rows whose cells do not parse (index -> reason), the n and value
-    columns (placeholders for those rows), and the ``csv.Error`` or
-    ``UnicodeDecodeError`` that stopped the reading early, or None.
-    Blank lines are skipped; cells missing from a short row are empty.
+    columns (placeholders for those rows), and why the reading stopped
+    early (``line N: reason``: a ``csv.Error`` or a byte that is not
+    UTF-8, the rows from that one on left out), or None.  Blank lines
+    are skipped; cells missing from a short row are empty.
     """
     rows, lines, error = [], [], None
     try:
@@ -152,13 +165,21 @@ def _read_chunk(reader, header: list[str]):
                 lines.append(reader.line_num)
                 if len(rows) == CHUNK_ROWS:
                     break
-    except (csv.Error, UnicodeDecodeError) as exc:
-        error = exc
+    except csv.Error as exc:
+        error = f"line {reader.line_num}: {exc}"
+    columns = list(zip_longest(*rows, fillvalue=""))
+    try:
+        "".join(map("".join, columns)).encode()
+    except UnicodeEncodeError:
+        bad, reason = _undecodable(rows)
+        error = f"line {lines[bad]}: {reason}"
+        rows, lines = rows[:bad], lines[:bad]
+        columns = [col[:bad] for col in columns]
     width = len(header)
     where = {name: i for i, name in enumerate(header)}
     # Pad to ``width`` columns plus one empty column at index ``width``,
     # which the columns absent from the header read.
-    columns = list(zip_longest(*rows, fillvalue=""))[:width]
+    columns = columns[:width]
     columns += [("",) * len(rows)] * (width + 1 - len(columns))
     study_ids, *cells = (columns[where.get(col, width)] for col in INPUT_COLUMNS)
     parsed, problems = [], {}
@@ -170,18 +191,6 @@ def _read_chunk(reader, header: list[str]):
     n, values = parsed[0], np.array(parsed[1:])
     n[list(problems)], values[:, list(problems)] = 2, math.nan
     return lines, list(map(str.strip, study_ids)), problems, n, values, error
-
-
-@contextlib.contextmanager
-def _read_errors_fatal(path, reader):
-    """Make a ``csv.Error``, such as an over-long cell, or input that is
-    not UTF-8 fatal."""
-    try:
-        yield
-    except csv.Error as exc:
-        raise FatalCliError(f"{path}: line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise FatalCliError(f"{path}: {exc}") from None
 
 
 def _row_template(fmt: str, order: CorrectionOrder) -> str:
@@ -260,14 +269,19 @@ def cmd_estimate(args) -> int:
     try:
         # utf-8-sig drops the byte-order mark that spreadsheets put
         # before the header, and only there.
-        fh = open(args.input, newline="", encoding="utf-8-sig")
+        fh = open(args.input, newline="", encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
         raise FatalCliError(f"cannot read {args.input}: {exc}")
     reader = csv.reader(fh)
-    with fh, _read_errors_fatal(args.input, reader):
-        header = next(reader, None)
+    with fh:
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise FatalCliError(f"{args.input}: line {reader.line_num}: {exc}") from None
         if header is None:
             raise FatalCliError(f"{args.input}: empty file, header row required")
+        if bad := _undecodable([header]):
+            raise FatalCliError(f"{args.input}: line {reader.line_num}: {bad[1]}")
         faults = {
             "unknown columns": [c for c in header if c not in INPUT_COLUMNS],
             "repeated columns": [c for c in dict.fromkeys(header) if header.count(c) > 1],
@@ -293,7 +307,7 @@ def cmd_estimate(args) -> int:
                 sys.stdout.write(out)
                 sys.stderr.write(err)
             if error is not None:
-                raise error
+                raise FatalCliError(f"{args.input}: {error}")
             if len(ids) < CHUNK_ROWS:
                 break
     return 0

@@ -35,6 +35,7 @@ __all__ = [
     "MomentEstimate",
     "ColumnEstimates",
     "PIECEWISE_CUTOFF",
+    "N_LIMIT",
     "estimate_columns",
     "estimate_mean",
     "delta_hat",
@@ -51,6 +52,9 @@ __all__ = [
 #: Sample size at which the additive small-sample corrections switch off
 #: and the asymptotic divisors are used unchanged.
 PIECEWISE_CUTOFF = 50
+
+#: Sample sizes must be below this bound to fit the estimators' int64 columns.
+N_LIMIT = 2**63
 
 # Log-linear correction for the range divisor, as published:
 #     delta_hat(n) = -0.0626 + 0.0197 * ln(n)
@@ -130,7 +134,7 @@ class StudySummary:
             raise ValueError(f"sample size must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError(f"sample size must be >= 2, got {self.n}")
-        if self.n >= 2**63:
+        if self.n >= N_LIMIT:
             raise ValueError(f"sample size must be < 2**63, got {self.n}")
         vals = [
             v
@@ -147,11 +151,6 @@ class StudySummary:
         vals = (self.min_a, self.q1, self.median_m, self.q3, self.max_b)
         values = np.array([[math.nan if v is None else v] for v in vals], dtype=float)
         return np.array([self.n]), values
-
-    def scenarios(self) -> set[Scenario]:
-        """All scenarios this summary can serve."""
-        present = ~np.isnan(self.columns()[1])
-        return {sc for sc in Scenario if not _scenario_codes(present, sc)[1]}
 
     def scenario(self, override: Scenario | None = None) -> Scenario:
         """Pick the scenario, preferring C2 > C3 > C1 (most information)."""

@@ -11,11 +11,13 @@ decays like phi(z), so the rule converges exponentially in the number
 of nodes (Trefethen & Weideman, SIAM Review 56, 2014).  The step is
 halved from 2^4 panels, up to 2^12, until two successive sums agree to
 the tolerance; their difference, but no less than 50 machine epsilons
-of the value, is the error estimate.  The default tolerance of 1e-9 is
-met at 2^6 or 2^7 panels for n = 2..50, and the values agree with an
-independent quadrature over the whole real line to 6e-13, which is
-the tails beyond b = 8 (3e-15 at b = 10).  phi and Phi at the nodes do
-not depend on n and are computed once per (b, level).
+of the value, is the discretisation error.  The error estimate adds the
+tails beyond +-b, which halving cannot shrink: |integrand| <= n z phi(z)
+there, so together they are at most 2 n phi(b).  The default tolerance
+of 1e-9 is met at 2^6 or 2^7 panels for n = 2..50, and the values agree
+with an independent quadrature over the whole real line to 6e-13, which
+is the tails beyond b = 8 (3e-15 at b = 10).  phi and Phi at the nodes
+do not depend on n and are computed once per (b, level).
 
 The expected normalised IQR is recovered by reproducible Monte Carlo
 under a choice of quantile conventions.  Neither path reuses the correction
@@ -27,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -149,6 +151,7 @@ def expected_range(n: int, cfg: QuadratureConfig = QuadratureConfig()) -> float:
         budget = max(cfg.abs_tol, cfg.rel_tol * abs(value))
         if abserr <= budget:
             break
+    abserr += 2 * n * std_normal_pdf(cfg.integration_bound)
     if abserr > 10 * budget:
         raise QuadratureError(
             f"expected_range(n={n}): error estimate {abserr:.3e} exceeds budget "
@@ -251,15 +254,14 @@ class RegenerationResult:
     def max_eta_deviation(self, conv: QuantileConvention) -> float:
         return max(abs(d) for d in self.eta_deviations(conv).values())
 
-    def fixture_lines(self, conv: QuantileConvention | None = None) -> list[str]:
-        """Rows in the fixture format ``n<TAB>xi<TAB>eta`` (blank if absent)."""
-        conv = conv or self.best_convention
+    def fixture_lines(self) -> list[str]:
+        """Rows in the fixture format ``n<TAB>xi<TAB>eta``, eta by the best
+        convention (blank if absent)."""
+        eta = self.eta.get(self.best_convention, {})
         lines = []
         for n in self.n_values:
             xi_s = f"{self.xi[n]:.6f}" if n in self.xi else ""
-            eta_s = ""
-            if conv is not None and conv in self.eta and n in self.eta[conv]:
-                eta_s = f"{self.eta[conv][n][0]:.6f}"
+            eta_s = f"{eta[n][0]:.6f}" if n in eta else ""
             lines.append(f"{n}\t{xi_s}\t{eta_s}")
         return lines
 
@@ -290,7 +292,7 @@ def regenerate_tables(
     cfg_q: QuadratureConfig = QuadratureConfig(),
     cfg_mc: McConfig = McConfig(),
     n_min: int = 2,
-    n_max: int = 50,
+    n_max: int = tables.N_MAX,
     which: str = "both",
     conventions: tuple[QuantileConvention, ...] | None = None,
 ) -> RegenerationResult:
@@ -308,12 +310,7 @@ def regenerate_tables(
     if which in ("eta", "both"):
         convs = conventions or tuple(QuantileConvention)
         for conv in convs:
-            conv_cfg = McConfig(
-                replications=cfg_mc.replications,
-                seed=cfg_mc.seed,
-                quantile_convention=conv,
-                chunk_size=cfg_mc.chunk_size,
-            )
+            conv_cfg = replace(cfg_mc, quantile_convention=conv)
             result.eta[conv] = {n: expected_iqr(n, conv_cfg) for n in ns}
         result.best_convention = min(result.eta, key=result.max_eta_deviation)
     return result

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tables
-from .estimators import blom_iqr_divisor, blom_range_divisor
+from .estimators import EPSILON2_CENTER, PIECEWISE_CUTOFF, blom_iqr_divisor, blom_range_divisor
 
 __all__ = [
     "ResidualKind",
@@ -95,21 +95,19 @@ class RegressionFit:
 
 
 def residual_series(kind: ResidualKind) -> ResidualSeries:
-    """Residuals table-minus-asymptotic over n = 2..50 (49 points)."""
+    """Residuals table-minus-asymptotic over n = 2..tables.N_MAX."""
     xi_tab, eta_tab = tables.load_tables()
-    ns = np.arange(2, 51)
-    if kind is ResidualKind.DELTA:
-        approx = [blom_range_divisor(n) for n in ns]
-        values = np.array([xi_tab.value(int(n)) for n in ns]) - np.array(approx)
-    else:
-        approx = [blom_iqr_divisor(n) for n in ns]
-        values = np.array([eta_tab.value(int(n)) for n in ns]) - np.array(approx)
-        if np.any(values <= 0):
-            bad = ns[values <= 0]
-            raise ValueError(
-                f"IQR residuals must be positive for the log transform; "
-                f"non-positive at n = {bad.tolist()}"
-            )
+    table, asymptotic = {
+        ResidualKind.DELTA: (xi_tab, blom_range_divisor),
+        ResidualKind.EPSILON: (eta_tab, blom_iqr_divisor),
+    }[kind]
+    ns = np.arange(2, tables.N_MAX + 1)
+    values = np.array(table.values)[ns - 1] - asymptotic(ns)
+    if kind is ResidualKind.EPSILON and np.any(values <= 0):
+        raise ValueError(
+            f"IQR residuals must be positive for the log transform; "
+            f"non-positive at n = {ns[values <= 0].tolist()}"
+        )
     return ResidualSeries(kind, ns, values)
 
 
@@ -174,10 +172,10 @@ def fit_epsilon_linear(series: ResidualSeries) -> RegressionFit:
 
 
 def fit_epsilon_quadratic(series: ResidualSeries) -> RegressionFit:
-    """Quadratic variant on n = 3..50, centred at n = 26."""
-    series = series.restricted(3, 50)
+    """Quadratic variant on n = 3..PIECEWISE_CUTOFF, centred at EPSILON2_CENTER."""
+    series = series.restricted(3, PIECEWISE_CUTOFF)
     y = _epsilon_transform(series)
-    c = series.ns.astype(float) - 26.0
+    c = series.ns.astype(float) - EPSILON2_CENTER
     design = np.column_stack([np.ones_like(y), c, c * c])
     return ols(design, y, ("c0", "c1", "c2"))
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from summarysd.cli import CHUNK_ROWS, main
+from summarysd.cli import main
 
 SAMPLE_CSV = """study_id,n,min,q1,median,q3,max
 alpha,10,0,,4,,10
@@ -135,12 +135,23 @@ class TestEstimate:
         path.write_bytes(f"study_id,n,min,median,max\n{rows}".encode() + b"caf\xe9,10,0,4,10\n")
         code, out, err = run(capsys, "estimate", str(path))
         assert code == 2
-        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xe9")
-        assert len(err.splitlines()) == 1
-        # The rows decoded before the bad byte are written.
+        assert err == f"error: {path}: line 10002: 'utf-8' codec can't decode byte 0xe9\n"
+        # Every row before the bad one is written.
         ids = [line.split(",")[0] for line in out.splitlines()[1:]]
-        assert CHUNK_ROWS <= len(ids) < 10_000
-        assert ids == [f"s{i}" for i in range(len(ids))]
+        assert ids == [f"s{i}" for i in range(10_000)]
+
+    @pytest.mark.parametrize("content, line, byte", [
+        (b"study_id,n,m\xe9n,median,max\na,10,0,4,10\n", 1, "0xe9"),
+        # In a cell past the header's width, after a good row.
+        (b"study_id,n,min,median,max\na,10,0,4,10\nb,10,0,4,10,\xff\nc,10,0,4,10\n", 3, "0xff"),
+    ], ids=["header", "past-header-width"])
+    def test_first_undecodable_line_is_named(self, capsys, tmp_path, content, line, byte):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "estimate", str(path))
+        assert code == 2
+        assert err == f"error: {path}: line {line}: 'utf-8' codec can't decode byte {byte}\n"
+        assert [row.split(",")[0] for row in out.splitlines()] == ["study_id", "a"][:line - 1]
 
     def test_scenario_override(self, capsys, sample_file):
         _, out, _ = run(capsys, "estimate", str(sample_file), "--scenario", "c3")

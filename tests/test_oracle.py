@@ -1,6 +1,7 @@
 """Quadrature and Monte Carlo recomputation of the divisor tables."""
 
 import math
+from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -102,6 +103,16 @@ class TestExpectedRange:
                 r"\(abs_tol=1\.0e-300, rel_tol=1\.0e-300\)$")):
             expected_range(2, cfg)
 
+    def test_error_estimate_counts_the_tails(self):
+        # Beyond b = 8 the tails hold 2 n phi(8) = 5.05e-13 at n = 50,
+        # more than 10x a budget of 1e-14 * E[range]; at b = 10 they
+        # hold 8e-21.
+        tight = dict(abs_tol=1e-14, rel_tol=1e-14)
+        with pytest.raises(QuadratureError, match=r"^expected_range\(n=50\)"):
+            expected_range(50, QuadratureConfig(**tight, integration_bound=8.0))
+        value = expected_range(50, QuadratureConfig(**tight, integration_bound=10.0))
+        assert abs(value - range_reference(50)) <= 1e-13
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(abs_tol=0.0)
@@ -184,6 +195,14 @@ class TestRegeneration:
         assert all(line.count("\t") == 2 for line in lines)
         report = result.report_lines()
         assert any("best convention: quarter-groups" in line for line in report)
+
+    def test_each_convention_keeps_the_rest_of_the_config(self):
+        cfg_mc = McConfig(replications=10_000, seed=5, chunk_size=3_000)
+        result = regenerate_tables(cfg_mc=cfg_mc, n_min=2, n_max=3, which="eta")
+        assert list(result.eta) == list(QuantileConvention)
+        for conv, by_n in result.eta.items():
+            conv_cfg = replace(cfg_mc, quantile_convention=conv)
+            assert by_n == {n: expected_iqr(n, conv_cfg) for n in (2, 3)}
 
     def test_xi_only(self):
         result = regenerate_tables(n_min=2, n_max=3, which="xi")

@@ -7,6 +7,8 @@ from summarysd import tables
 from summarysd.estimators import (
     EPSILON_A,
     EPSILON_B,
+    blom_iqr_divisor,
+    blom_range_divisor,
     eta_hat,
     xi_hat,
 )
@@ -35,6 +37,15 @@ class TestResidualSeries:
         s = residual_series(ResidualKind.DELTA)
         assert len(s.ns) == 49
         assert s.ns[0] == 2
+
+    @pytest.mark.parametrize("kind, table, asymptotic", [
+        (ResidualKind.DELTA, tables.xi_table, blom_range_divisor),
+        (ResidualKind.EPSILON, tables.eta_table, blom_iqr_divisor),
+    ], ids=["delta", "epsilon"])
+    def test_matches_scalar_evaluation_bit_for_bit(self, kind, table, asymptotic):
+        s = residual_series(kind)
+        assert s.ns.tolist() == list(range(2, 51))
+        assert s.values.tolist() == [table(n) - asymptotic(n) for n in range(2, 51)]
 
     def test_magnitude_gap(self):
         # IQR residuals run about an order of magnitude above the range
