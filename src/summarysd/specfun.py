@@ -117,10 +117,14 @@ _F = (
 )
 
 
-def _poly(coeffs, r):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * r + c
+def _poly(coeffs, r: np.ndarray) -> np.ndarray:
+    """Horner's rule at every element of the array ``r``, in one new
+    array: the same operations, in the same order, as ``acc * r + c``."""
+    acc = r * coeffs[-1]
+    acc += coeffs[-2]
+    for c in reversed(coeffs[:-2]):
+        acc *= r
+        acc += c
     return acc
 
 
@@ -128,12 +132,23 @@ def _ppnd16(p: np.ndarray, log) -> np.ndarray:
     """PPND16 at every element of ``p`` (in (0, 1)); ``log`` maps an
     array to its logarithms.  The central branch (85% of the unit
     interval) is evaluated for every element and the tails are patched
-    afterwards, which is much faster than masked evaluation."""
-    q = p - 0.5
-    r = 0.180625 - q * q  # negative in the tails; harmless, overwritten
-    out = q * _poly(_A, r) / _poly(_B, r)
+    afterwards, which is much faster than masked evaluation.  The
+    central branch runs in place in three arrays the size of ``p``
+    (q = p - 0.5 is formed twice, the second time into r's buffer once
+    r is spent); each element still sees ``q * A(r) / B(r)`` in the
+    scalar order."""
+    if p.ndim == 0:  # a ufunc gives a scalar here, which cannot be written in place
+        return _ppnd16(p.reshape(1), log).reshape(())
+    r = p - 0.5
+    r *= r
+    np.subtract(0.180625, r, out=r)  # negative in the tails; harmless, overwritten
+    out = _poly(_A, r)
+    den = _poly(_B, r)
+    q = np.subtract(p, 0.5, out=r)
+    out *= q
+    out /= den
 
-    tail = np.abs(q) > 0.425
+    tail = np.abs(q, out=den) > 0.425
     if tail.any():
         qt = q[tail]
         pt = p[tail]

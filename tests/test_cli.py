@@ -304,6 +304,8 @@ def test_bad_cutoff_is_fatal(capsys, sample_file, command, argv, message):
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["oracle", "--reps", "5"], "need at least 10^4 replications", id="reps"),
     pytest.param(["oracle", "--chunk-size", "0"], "chunk size must be positive", id="chunk-size"),
+    pytest.param(["oracle", "--which", "eta", "--range", "2:2", "--reps", "10000", "--seed", "-1",
+                  "--report", "{dir}.tsv"], "seed must be non-negative", id="seed"),
     pytest.param(["oracle", "--which", "xi", "--range", "2:2", "--report", "{dir}/r.tsv"],
                  "cannot write {dir}/r.tsv: [Errno 2] No such file or directory", id="report"),
     pytest.param(["refit", "--kind", "delta", "--emit-series", "{dir}/s.tsv"],
@@ -312,8 +314,10 @@ def test_bad_cutoff_is_fatal(capsys, sample_file, command, argv, message):
 def test_oracle_and_refit_usage_errors_are_fatal(capsys, tmp_path, argv, message):
     missing = tmp_path / "missing"
     code, out, err = run(capsys, *(arg.format(dir=missing) for arg in argv))
-    # An output path is checked before any work, so nothing is printed.
+    # An output path is checked before any work, so nothing is printed,
+    # and a bad setting is caught before any output file is made.
     assert (code, out) == (2, "")
+    assert list(tmp_path.iterdir()) == []
     assert err.startswith("error: " + message.format(dir=missing))
     assert len(err.splitlines()) == 1
 

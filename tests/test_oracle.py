@@ -15,6 +15,7 @@ from summarysd.oracle import (
     QuadratureError,
     QuantileConvention,
     _chunk_iqr,
+    _iqr_weights,
     expected_iqr,
     expected_range,
     regenerate_tables,
@@ -158,22 +159,44 @@ class TestExpectedIqr:
         assert abs(est - exact_iqr(n, conv)) <= 5 * se
 
     @pytest.mark.parametrize("conv", list(QuantileConvention), ids=lambda c: c.value)
-    def test_sampler_survives_beta_draws_at_0_and_1(self, conv):
-        class EdgeBeta:
-            """Beta draws of exactly 0.0 and 1.0, every combination over
-            the rows for up to four chained ranks."""
+    def test_sampler_survives_gamma_draws_at_0(self, conv):
+        class EdgeGamma:
+            """Gamma draws of exactly 0.0 and 1.0, every combination over
+            the rows for up to five spacings, the all-zero row included."""
 
             calls = 0
 
-            def beta(self, a, b, size):
-                bit = (np.arange(size) >> self.calls) & 1
+            def standard_gamma(self, shape, size, out):
+                out[:] = (np.arange(size) >> self.calls) & 1
                 self.calls += 1
-                return bit.astype(float)
+                return out
 
         for n in (2, 5, 10):
-            iqr = _chunk_iqr(EdgeBeta(), n, 16, conv)
-            assert iqr.shape == (16,)
+            iqr = _chunk_iqr(EdgeGamma(), n, 32, conv)
+            assert iqr.shape == (32,)
             assert np.all(np.isfinite(iqr))
+
+    @pytest.mark.parametrize("conv", list(QuantileConvention), ids=lambda c: c.value)
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 50])
+    def test_draws_one_gamma_spacing_per_rank_gap(self, conv, n):
+        class Recording:
+            def __init__(self):
+                self.shapes = []
+                self.rng = np.random.default_rng(0)
+
+            def standard_gamma(self, shape, size, out):
+                self.shapes.append(shape)
+                return self.rng.standard_gamma(shape, size=size, out=out)
+
+        # The ranks are those the convention reads, as _iqr_weights gives
+        # them; exact_iqr checks the weights themselves statistically.
+        m, weights = _iqr_weights(n, conv)
+        ranks = [0, *weights, m + 1]
+        rng = Recording()
+        iqr = _chunk_iqr(rng, n, 7, conv)
+        assert iqr.shape == (7,)
+        assert rng.shapes == [b - a for a, b in zip(ranks, ranks[1:])]
+        assert sum(rng.shapes) == m + 1
 
     def test_replication_floor(self):
         with pytest.raises(ValueError):

@@ -131,3 +131,11 @@ class TestVectorised:
     def test_shape_preserved(self):
         ps = np.full((3, 4), 0.5)
         assert std_normal_quantile_vec(ps).shape == (3, 4)
+
+    @pytest.mark.parametrize("p", [0.3, 0.99, 1e-300])
+    def test_scalar_is_one_element(self, p):
+        # Central and both tail branches, for a float and a 0-d array.
+        for arg in (p, np.array(p)):
+            got = std_normal_quantile_vec(arg)
+            assert got.shape == ()
+            assert got == std_normal_quantile_vec(np.array([p]))[0]
