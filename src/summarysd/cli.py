@@ -235,18 +235,13 @@ def _chunk_output(lines, ids, problems, est, seen_ids, fmt, template) -> tuple[s
     # Rows that are not a valid summary are rejected before their id
     # counts as seen; rows with no estimate count.
     rejected = {i for i in errors if i in problems or est.invalid[i]}
-    distinct = set(ids)
-    if "" in distinct or len(distinct) < len(ids) or not seen_ids.isdisjoint(distinct):
-        for i, study_id in enumerate(ids):
-            if not study_id:
-                errors[i] = ": empty study_id"
-            elif study_id in seen_ids:
-                errors[i] = f": duplicate study_id {study_id!r}"
-            elif i not in rejected:
-                seen_ids.add(study_id)
-    else:
-        seen_ids.update(distinct)
-        seen_ids.difference_update(ids[i] for i in rejected)
+    for i, study_id in enumerate(ids):
+        if not study_id:
+            errors[i] = ": empty study_id"
+        elif study_id in seen_ids:
+            errors[i] = f": duplicate study_id {study_id!r}"
+        elif i not in rejected:
+            seen_ids.add(study_id)
     keep = np.ones(len(ids), dtype=bool)
     keep[list(errors)] = False
     rows = zip(

@@ -21,11 +21,10 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
-from functools import wraps
 
 import numpy as np
 
-from .specfun import _libm, std_normal_quantile, std_normal_quantile_polished
+from .specfun import _elementwise, _libm, std_normal_quantile, std_normal_quantile_polished
 
 __all__ = [
     "Scenario",
@@ -132,25 +131,18 @@ class StudySummary:
     def __post_init__(self):
         if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
             raise ValueError(f"sample size must be an integer, got {self.n!r}")
-        if self.n < 2:
-            raise ValueError(f"sample size must be >= 2, got {self.n}")
         if self.n >= N_LIMIT:
             raise ValueError(f"sample size must be < 2**63, got {self.n}")
-        vals = [
-            v
-            for v in (self.min_a, self.q1, self.median_m, self.q3, self.max_b)
-            if v is not None
-        ]
-        if not all(map(math.isfinite, vals)):
-            raise ValueError(_NONFINITE)
-        if any(b < a for a, b in zip(vals, vals[1:])):
-            raise ValueError(_UNORDERED)
+        if problems := _invalid_rows(*self.columns()):
+            raise ValueError(problems[0])
 
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """This study as one-row columns for :func:`estimate_columns`."""
+        """This study as one-row columns for :func:`estimate_columns`.
+        A value given as NaN reads as infinite, so that it is not taken
+        for an absent one."""
         vals = (self.min_a, self.q1, self.median_m, self.q3, self.max_b)
-        values = np.array([[math.nan if v is None else v] for v in vals], dtype=float)
-        return np.array([self.n]), values
+        values = [math.nan if v is None else math.inf if math.isnan(v) else v for v in vals]
+        return np.array([self.n]), np.array(values, dtype=float)[:, None]
 
     def scenario(self, override: Scenario | None = None) -> Scenario:
         """Pick the scenario, preferring C2 > C3 > C1 (most information)."""
@@ -193,8 +185,10 @@ class ColumnEstimates:
 
 
 def _invalid_rows(n: np.ndarray, values: np.ndarray) -> dict[int, str]:
-    """Rows that are not a valid summary, with the reason
-    (the checks of :class:`StudySummary`, NaN marking an absent value)."""
+    """Rows that are not a valid summary, with the reason, NaN marking
+    an absent value: n < 2, then a value that is not finite, then values
+    out of order.  The one validity check of a study, :class:`StudySummary`
+    included."""
     unordered = np.zeros(n.shape, dtype=bool)
     highest = np.full(n.shape, -np.inf)
     for v in values:  # each value must reach every reported value before it
@@ -344,19 +338,6 @@ def estimate_mean(
         return float(_means(codes, n, values, simple_c1)[0])
 
 
-def _elementwise(f):
-    """Let ``f``, written over an array of sample sizes, also take one
-    n and return one float."""
-
-    @wraps(f)
-    def over_n(n, *args, **kwargs):
-        if isinstance(n, np.ndarray):
-            return f(n, *args, **kwargs)
-        return float(f(np.array([n]), *args, **kwargs)[0])
-
-    return over_n
-
-
 def _reject(n: np.ndarray, bad: np.ndarray, reason: str) -> None:
     """Raise ``reason`` for the first n flagged in ``bad``."""
     if bad.any():
@@ -490,6 +471,9 @@ def required_sample_size(sigma: float, delta: float, alpha: float, beta: float) 
 
     Smallest integer n with n >= 2 sigma^2 (z_{alpha/2} + z_beta)^2 / delta^2.
     """
+    for name, value in (("sigma", sigma), ("delta", delta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if delta == 0:

@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import tables
-from .specfun import _libm, std_normal_cdf, std_normal_pdf, std_normal_quantile_vec
+from .specfun import std_normal_cdf, std_normal_pdf, std_normal_quantile_vec
 
 __all__ = [
     "QuadratureConfig",
@@ -139,8 +139,8 @@ def _range_nodes(b: float, level: int) -> tuple[float, np.ndarray, np.ndarray]:
     half = 2 ** (level - 1)
     h = b / half
     z = h * np.arange(-half, half + 1)
-    zpdf = z * _libm(std_normal_pdf, z)
-    cdf = _libm(std_normal_cdf, z)
+    zpdf = z * std_normal_pdf(z)
+    cdf = std_normal_cdf(z)
     zpdf.flags.writeable = cdf.flags.writeable = False
     return h, zpdf, cdf
 
@@ -242,14 +242,16 @@ def expected_iqr(n: int, cfg: McConfig = McConfig()) -> tuple[float, float]:
     """Monte Carlo expected IQR of n normals: (estimate, std. error).
 
     Output is a deterministic function of (seed, replications,
-    chunk_size, convention): each chunk draws from its own spawned
-    stream in schedule order, so the result cannot depend on execution
-    parallelism.
+    chunk_size, convention, n): each chunk draws from its own stream,
+    spawned in schedule order from a seed sequence keyed by the
+    convention and n, so the result cannot depend on execution
+    parallelism, and no two (convention, n) share their draws.
     """
     if n < 2:
         raise ValueError(f"expected IQR defined for n >= 2, got {n}")
     schedule = cfg.chunk_schedule()
-    streams = np.random.SeedSequence(cfg.seed).spawn(len(schedule))
+    key = (list(QuantileConvention).index(cfg.quantile_convention), n)
+    streams = np.random.SeedSequence(cfg.seed, spawn_key=key).spawn(len(schedule))
     total = 0.0
     total_sq = 0.0
     for rows, ss in zip(schedule, streams):

@@ -1,15 +1,17 @@
 """Standard normal density, distribution and quantile functions.
 
-Scalar operations carry the accuracy contract the rest of the library
+These functions carry the accuracy contract the rest of the library
 relies on (absolute error below 1e-12 for the CDF, quantile consistent
-with the CDF to the same level).
+with the CDF to the same level).  The density and the CDF take one
+float or an array.
 
 Both array quantiles evaluate Wichura's PPND16 rational approximation,
 written once in :func:`_ppnd16`.  :func:`std_normal_quantile_polished`,
 with its one-element view :func:`std_normal_quantile`, gives the
 divisors that ``estimate`` prints.  In it numpy does only the correctly
 rounded ``+ - * /`` and ``sqrt``; the transcendental steps (``log`` in
-the approximation, ``exp`` and ``erfc`` in the Newton step) are libm's
+the approximation, ``exp`` and ``erfc`` in the Newton step's
+:func:`std_normal_pdf` and :func:`std_normal_cdf`) are libm's
 ``math.log``, ``math.exp`` and ``math.erfc`` mapped over the array.
 numpy's own ``log`` and ``exp`` differ from libm by one ulp at some
 arguments, which would move printed divisors; mapped libm keeps every
@@ -22,7 +24,7 @@ speed matters there, and the oracle's seeded digits depend on it.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import partial, wraps
 
 import numpy as np
 
@@ -38,18 +40,38 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 
 
-def std_normal_pdf(z: float) -> float:
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """``f`` from :mod:`math` mapped over the elements of ``x``."""
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _elementwise(f):
+    """Let ``f``, written over an array, also take one number and return
+    one float."""
+
+    @wraps(f)
+    def over_x(x, *args, **kwargs):
+        if isinstance(x, np.ndarray):
+            return f(x, *args, **kwargs)
+        return float(f(np.array([x]), *args, **kwargs)[0])
+
+    return over_x
+
+
+@_elementwise
+def std_normal_pdf(z: float | np.ndarray) -> float | np.ndarray:
     """Density of the standard normal at ``z``."""
-    return math.exp(-0.5 * z * z) / _SQRT_2PI
+    return _libm(math.exp, -0.5 * z * z) / _SQRT_2PI
 
 
-def std_normal_cdf(z: float) -> float:
+@_elementwise
+def std_normal_cdf(z: float | np.ndarray) -> float | np.ndarray:
     """Distribution function of the standard normal at ``z``.
 
     Computed through the complementary error function, which keeps the
     absolute error at the 1e-16 level uniformly in ``z``.
     """
-    return 0.5 * math.erfc(-z / _SQRT2)
+    return 0.5 * _libm(math.erfc, -z / _SQRT2)
 
 
 # Rational approximation of the normal quantile (Wichura's PPND16
@@ -164,11 +186,6 @@ def _ppnd16(p: np.ndarray, log) -> np.ndarray:
     return out
 
 
-def _libm(f, x: np.ndarray) -> np.ndarray:
-    """``f`` from :mod:`math` mapped over the elements of ``x``."""
-    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
 def _open_unit(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     outside = ~((p > 0.0) & (p < 1.0))
@@ -192,11 +209,9 @@ def std_normal_quantile_polished(p: np.ndarray) -> np.ndarray:
     """
     p = _open_unit(p)
     x = _ppnd16(p, partial(_libm, math.log))
-    # std_normal_pdf and std_normal_cdf, with numpy doing the arithmetic.
-    dens = _libm(math.exp, -0.5 * x * x) / _SQRT_2PI
-    cdf = 0.5 * _libm(math.erfc, -x / _SQRT2)
+    dens = std_normal_pdf(x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(dens > 1e-300, x - (cdf - p) / dens, x)
+        return np.where(dens > 1e-300, x - (std_normal_cdf(x) - p) / dens, x)
 
 
 def std_normal_quantile(p: float) -> float:

@@ -57,9 +57,6 @@ class DivisorTable:
             raise KeyError(f"{self.kind.value} table covers n in {N_MIN}..{N_MAX}, got {n}")
         return self.values[n - 1]
 
-    def __call__(self, n: int) -> float:
-        return self.value(n)
-
 
 @dataclass(frozen=True)
 class ErrorBounds:

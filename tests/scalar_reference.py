@@ -1,11 +1,12 @@
 """Scalar reference for the normal quantile and the divisors.
 
-A pure-``math`` copy of Wichura's PPND16 normal quantile with its Newton
-step, of the divisors built on it, and a numpy copy of the Monte Carlo
-oracle's bulk quantile, all with their own constants.  They stay frozen
-so that tests can require the shipped array code to give the same
-floats, bit for bit, and so that the per-row reference of the
-``estimate`` tests does not share code with what it checks.
+A pure-``math`` copy of the normal density and CDF, of Wichura's PPND16
+normal quantile with its Newton step, of the divisors built on it, and a
+numpy copy of the Monte Carlo oracle's bulk quantile, all with their own
+constants.  They stay frozen so that tests can require the shipped
+array code to give the same floats, bit for bit, and so that the
+per-row reference of the ``estimate`` tests does not share code with
+what it checks.
 """
 
 import math
@@ -104,13 +105,21 @@ def _ppnd16(p: float) -> float:
     return -val if q < 0.0 else val
 
 
+def std_normal_pdf(z: float) -> float:
+    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+def std_normal_cdf(z: float) -> float:
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
 def std_normal_quantile(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {p!r}")
     x = _ppnd16(p)
-    dens = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    dens = std_normal_pdf(x)
     if dens > 1e-300:
-        x -= (0.5 * math.erfc(-x / math.sqrt(2.0)) - p) / dens
+        x -= (std_normal_cdf(x) - p) / dens
     return x
 
 

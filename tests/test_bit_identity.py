@@ -11,6 +11,8 @@ import pytest
 import scalar_reference as ref
 from summarysd.estimators import CorrectionOrder, delta_hat, epsilon_hat, eta_hat, xi_hat
 from summarysd.specfun import (
+    std_normal_cdf,
+    std_normal_pdf,
     std_normal_quantile,
     std_normal_quantile_polished,
     std_normal_quantile_vec,
@@ -82,6 +84,16 @@ def test_corrections():
     second = CorrectionOrder.SECOND
     assert np.array_equal(bits(epsilon_hat(NS[1:49], second)),
                           bits([ref.epsilon_hat(n, second) for n in range(3, 51)]))
+
+
+@pytest.mark.parametrize("f, f_ref", [(std_normal_pdf, ref.std_normal_pdf),
+                                       (std_normal_cdf, ref.std_normal_cdf)], ids=["pdf", "cdf"])
+def test_density_and_cdf(f, f_ref):
+    rng = np.random.default_rng(20261018)
+    z = np.concatenate([rng.normal(0.0, 3.0, 50_000), rng.uniform(-40.0, 40.0, 10_000)])
+    expected = bits([f_ref(x) for x in z.tolist()])
+    assert np.array_equal(bits(f(z)), expected)
+    assert np.array_equal(bits([f(x) for x in z[::50].tolist()]), expected[::50])
 
 
 def test_polished_quantile(probabilities):

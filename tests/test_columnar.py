@@ -137,6 +137,8 @@ def csv_line(fields, fmt: str) -> str:
 
 
 def reference_summary(cell: dict) -> StudySummary:
+    """The row as a StudySummary, checked here and not by the code under
+    test: n >= 2, then (values being finite once parsed) their order."""
     n_raw = cell.get("n", "").strip()
     try:
         n = int(n_raw)
@@ -157,6 +159,11 @@ def reference_summary(cell: dict) -> StudySummary:
         if not math.isfinite(x):
             raise ValueError(f"{col}={raw!r} is not a finite number")
         vals.append(x)
+    if n < 2:
+        raise ValueError(f"sample size must be >= 2, got {n}")
+    given = [x for x in vals if x is not None]
+    if any(b < a for a, b in zip(given, given[1:])):
+        raise ValueError("summaries must satisfy min <= Q1 <= median <= Q3 <= max")
     return StudySummary(n, *vals)
 
 

@@ -69,6 +69,21 @@ class TestStudySummary:
         with pytest.raises(ValueError, match=rf"^sample size must be < 2\*\*63, got {n}$"):
             StudySummary(n=n, q1=1, median_m=2, q3=3)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n=1, min_a=-math.inf, median_m=1, max_b=2), "sample size must be >= 2, got 1"),
+        (dict(n=10, min_a=3, q1=math.nan, median_m=2, q3=1), "summaries must be finite numbers"),
+        (dict(n=10, q1=3, median_m=2, q3=1),
+         "summaries must satisfy min <= Q1 <= median <= Q3 <= max"),
+        (dict(n=2**63, q1=1, median_m=2, q3=3), f"sample size must be < 2**63, got {2**63}"),
+        (dict(n=-10**30, q1=1, median_m=2, q3=3), f"sample size must be >= 2, got {-10**30}"),
+        (dict(n=True, q1=1, median_m=2, q3=3), "sample size must be an integer, got True"),
+        (dict(n=2.0, q1=1, median_m=2, q3=3), "sample size must be an integer, got 2.0"),
+    ], ids=["n1-inf", "nan-unordered", "unordered", "2**63", "-10**30", "True", "2.0"])
+    def test_first_reason_wins(self, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            StudySummary(**kwargs)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("n", [np.int64(10), np.int32(10), np.uint16(10)])
     def test_numpy_integer_n_accepted(self, n):
         assert estimate_sd(StudySummary(n=n, min_a=0, median_m=1, max_b=2)).sd > 0
@@ -308,8 +323,15 @@ class TestRequiredSampleSize:
             dict(sigma=1.0, delta=0.0, alpha=0.05, beta=0.2),
             dict(sigma=1.0, delta=1.0, alpha=0.0, beta=0.2),
             dict(sigma=1.0, delta=1.0, alpha=0.05, beta=1.0),
+            dict(sigma=1.0, delta=math.inf, alpha=0.05, beta=0.2),
+            dict(sigma=1.0, delta=math.nan, alpha=0.05, beta=0.2),
+            dict(sigma=math.nan, delta=1.0, alpha=0.05, beta=0.2),
+            dict(sigma=math.inf, delta=1.0, alpha=0.05, beta=0.2),
         ],
     )
     def test_domain_errors(self, kwargs):
-        with pytest.raises(ValueError):
+        # The message names the one argument that differs from a valid call.
+        valid = dict(sigma=1.0, delta=1.0, alpha=0.05, beta=0.2)
+        (name,) = [k for k, v in kwargs.items() if v != valid[k]]
+        with pytest.raises(ValueError, match=name):
             required_sample_size(**kwargs)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from summarysd import tables
+from summarysd import oracle, tables
 from summarysd.oracle import (
     McConfig,
     QuadratureConfig,
@@ -133,6 +133,27 @@ class TestExpectedIqr:
         b = expected_iqr(10, McConfig(replications=20_000, seed=42, chunk_size=20_000))
         assert a != b
         assert a[0] == pytest.approx(b[0], abs=5 * (a[1] + b[1]))
+
+    def test_each_convention_and_n_draws_its_own_stream(self, monkeypatch):
+        def first_draws(n, conv):
+            """The first draw of each chunk's stream."""
+            draws = []
+
+            def record(rng, n, rows, conv):
+                draws.append(rng.random())
+                return np.zeros(rows)
+
+            monkeypatch.setattr(oracle, "_chunk_iqr", record)
+            expected_iqr(n, McConfig(replications=30_000, seed=7, chunk_size=10_000,
+                                     quantile_convention=conv))
+            return draws
+
+        groups, blom = QuantileConvention.QUARTER_GROUPS, QuantileConvention.BLOM_INTERP
+        base = first_draws(5, groups)
+        assert len(set(base)) == 3
+        assert first_draws(5, groups) == base
+        assert set(first_draws(50, groups)).isdisjoint(base)
+        assert set(first_draws(5, blom)).isdisjoint(base)
 
     def test_quarter_groups_matches_table(self):
         cfg = McConfig(replications=100_000, seed=3)
