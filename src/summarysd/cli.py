@@ -16,23 +16,19 @@ import math
 import re
 import sys
 from json.encoder import encode_basestring_ascii
-from functools import partial
 from itertools import compress, zip_longest
 
 import numpy as np
 
 from . import tables
 from .estimators import (
+    DIVISORS,
     N_LIMIT,
     PIECEWISE_CUTOFF,
     SCENARIOS,
     CorrectionOrder,
     Scenario,
-    blom_iqr_divisor,
-    blom_range_divisor,
     estimate_columns,
-    eta_hat,
-    xi_hat,
 )
 
 INPUT_COLUMNS = ("study_id", "n", "min", "q1", "median", "q3", "max")
@@ -40,8 +36,9 @@ REQUIRED_COLUMNS = ("study_id", "n")
 OUTPUT_COLUMNS = ("study_id", "scenario", "mean", "sd", "divisor", "correction", "degenerate")
 SEPARATORS = {"csv": ",", "tsv": "\t"}
 
-#: Data rows ``estimate`` parses, estimates and writes together; memory
-#: stays bounded whatever the length of the input.
+#: Data rows ``estimate`` parses, estimates and writes together, which
+#: bounds each chunk's working memory.  The duplicate-id check keeps
+#: every accepted id, about 100 bytes for an 8-character one.
 CHUNK_ROWS = 1024
 
 # Output labels: scenario names by code, degenerate flags by format.
@@ -333,23 +330,18 @@ def cmd_tables(args) -> int:
     n_min, n_max = _parse_range(args.range, lo=1)
     order = CorrectionOrder(args.correction)
     _check_cutoff(args.cutoff, order)
-    xi_tab, eta_tab = tables.load_tables()
-    if args.which == "xi":
-        tab_values, asymptotic = xi_tab, blom_range_divisor
-        divisor = partial(xi_hat, cutoff=args.cutoff)
-    else:
-        tab_values, asymptotic = eta_tab, blom_iqr_divisor
-        divisor = partial(eta_hat, order=order, cutoff=args.cutoff)
+    kind = DIVISORS[args.which]
+    table = tables.load_tables()[kind.table]
     out = sys.stdout
     out.write("n\ttable\tasymptotic\tcorrected\tresidual\n")
     for n in range(n_min, n_max + 1):
-        tab = _fmt(tab_values.value(n)) if n <= tables.N_MAX else ""
+        tab = _fmt(table.value(n)) if n <= tables.N_MAX else ""
         asym = corrected = residual = ""
         if n >= 2:
             # The cells of a divisor that n does not have stay empty.
             with contextlib.suppress(ValueError):
-                asym = _fmt(asymptotic(n))
-                value = divisor(n)
+                asym = _fmt(kind.asymptotic(n))
+                value = kind.corrected(n, order, args.cutoff)
                 corrected = _fmt(value)
                 residual = _fmt(float(tab) - value) if tab else ""
         out.write(f"{n}\t{tab}\t{asym}\t{corrected}\t{residual}\n")

@@ -21,6 +21,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -39,6 +40,8 @@ __all__ = [
     "estimate_mean",
     "delta_hat",
     "epsilon_hat",
+    "DivisorKind",
+    "DIVISORS",
     "blom_range_divisor",
     "blom_iqr_divisor",
     "xi_hat",
@@ -234,7 +237,7 @@ def _means(codes: np.ndarray, n: np.ndarray, values: np.ndarray, simple_c1: bool
 
 
 def _divisor_column(kind, n, need, order, cutoff, memo, errors) -> np.ndarray:
-    """``xi_hat`` (kind "xi") or ``eta_hat`` for the rows in ``need``,
+    """The corrected divisor of ``kind`` for the rows in ``need``,
     evaluated in one call for the distinct n not yet in ``memo`` and
     kept there; 1.0 elsewhere.  Rows whose n has no divisor get an
     error."""
@@ -242,15 +245,15 @@ def _divisor_column(kind, n, need, order, cutoff, memo, errors) -> np.ndarray:
     if not need.any():
         return out
     distinct, inverse = np.unique(n[need], return_inverse=True)
-    known = memo.setdefault((kind, order, cutoff), {})
+    known = memo.setdefault((kind.name, order, cutoff), {})
     divisors = np.array([known.get(k, math.nan) for k in distinct.tolist()])
     miss = np.isnan(divisors)
     if miss.any():
-        undefined, reason = _no_divisor(kind, distinct, order, cutoff)
+        undefined, reason = kind.domain(distinct, order, cutoff)
         todo = miss & ~undefined
         if todo.any():
             new_n = distinct[todo]
-            new = xi_hat(new_n, cutoff) if kind == "xi" else eta_hat(new_n, order, cutoff)
+            new = kind.corrected(new_n, order, cutoff)
             divisors[todo] = new
             if len(known) + new.size > _MEMO_LIMIT:
                 known.clear()
@@ -296,8 +299,8 @@ def estimate_columns(
     ok = np.ones(n.shape, dtype=bool)
     ok[list(errors)] = False
     memo = {} if divisor_memo is None else divisor_memo
-    xi = _divisor_column("xi", n, ok & (codes != _C3), order, cutoff, memo, errors)
-    eta = _divisor_column("eta", n, ok & (codes != _C1), order, cutoff, memo, errors)
+    xi = _divisor_column(DIVISORS["xi"], n, ok & (codes != _C3), order, cutoff, memo, errors)
+    eta = _divisor_column(DIVISORS["eta"], n, ok & (codes != _C1), order, cutoff, memo, errors)
 
     a, q1, m, q3, b = values
     with np.errstate(all="ignore"):
@@ -350,16 +353,6 @@ def _range_position(n: np.ndarray) -> np.ndarray:
 
 def _outside_second_order(n: np.ndarray) -> np.ndarray:
     return (n < 3) | (n > PIECEWISE_CUTOFF)
-
-
-def _no_divisor(kind, n, order, cutoff) -> tuple[np.ndarray, str]:
-    """Which sample sizes of ``n``, all >= 2, ``xi_hat`` (kind "xi") or
-    ``eta_hat`` rejects, and the reason it gives."""
-    if kind == "xi":
-        return _range_position(n) >= 1.0, _RANGE_N_TOO_LARGE
-    if order is CorrectionOrder.SECOND:
-        return (n <= cutoff) & _outside_second_order(n), _SECOND_ORDER_DOMAIN
-    return np.zeros(n.shape, dtype=bool), ""
 
 
 @_elementwise
@@ -428,6 +421,41 @@ def eta_hat(
         small = n <= cutoff
         base[small] += epsilon_hat(n[small], order)
     return base
+
+
+@dataclass(frozen=True)
+class DivisorKind:
+    """One SD divisor: the index of its table in ``tables.load_tables()``,
+    its asymptotic form, its corrected form called as ``(n, order,
+    cutoff)``, and its domain, which maps the same arguments, n >= 2, to
+    the mask of the n the corrected form rejects and the reason it
+    gives."""
+
+    name: str
+    table: int
+    asymptotic: Callable
+    corrected: Callable
+    domain: Callable
+
+
+#: The range divisor and the IQR divisor.  The corrected forms look
+#: ``xi_hat`` and ``eta_hat`` up when called, so that a wrapper put on
+#: this module is the one called.
+DIVISORS = {
+    "xi": DivisorKind(
+        "xi", 0, blom_range_divisor,
+        lambda n, order, cutoff: xi_hat(n, cutoff),
+        lambda n, order, cutoff: (_range_position(n) >= 1.0, _RANGE_N_TOO_LARGE),
+    ),
+    "eta": DivisorKind(
+        "eta", 1, blom_iqr_divisor,
+        lambda n, order, cutoff: eta_hat(n, order, cutoff),
+        lambda n, order, cutoff: (
+            (order is CorrectionOrder.SECOND) & (n <= cutoff) & _outside_second_order(n),
+            _SECOND_ORDER_DOMAIN,
+        ),
+    ),
+}
 
 
 def _one_row(summary, order, scenario, cutoff, with_mean) -> MomentEstimate:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -93,9 +94,9 @@ class QuadratureConfig:
     integration_bound: float = 8.0
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ValueError("tolerances must be positive")
-        if self.integration_bound < 8.0:
+        if not 8.0 <= self.integration_bound < math.inf:
             raise ValueError("integration bound must be at least 8")
 
 
@@ -107,6 +108,10 @@ class McConfig:
     chunk_size: int = 100_000
 
     def __post_init__(self):
+        for name in ("replications", "chunk_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replications < 10_000:
             raise ValueError("need at least 10^4 replications")
         if self.chunk_size < 1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tables
-from .estimators import EPSILON2_CENTER, PIECEWISE_CUTOFF, blom_iqr_divisor, blom_range_divisor
+from .estimators import DIVISORS, EPSILON2_CENTER, PIECEWISE_CUTOFF
 
 __all__ = [
     "ResidualKind",
@@ -96,13 +96,10 @@ class RegressionFit:
 
 def residual_series(kind: ResidualKind) -> ResidualSeries:
     """Residuals table-minus-asymptotic over n = 2..tables.N_MAX."""
-    xi_tab, eta_tab = tables.load_tables()
-    table, asymptotic = {
-        ResidualKind.DELTA: (xi_tab, blom_range_divisor),
-        ResidualKind.EPSILON: (eta_tab, blom_iqr_divisor),
-    }[kind]
+    divisor = DIVISORS[{ResidualKind.DELTA: "xi", ResidualKind.EPSILON: "eta"}[kind]]
+    table = tables.load_tables()[divisor.table]
     ns = np.arange(2, tables.N_MAX + 1)
-    values = np.array(table.values)[ns - 1] - asymptotic(ns)
+    values = np.array(table.values)[ns - 1] - divisor.asymptotic(ns)
     if kind is ResidualKind.EPSILON and np.any(values <= 0):
         raise ValueError(
             f"IQR residuals must be positive for the log transform; "

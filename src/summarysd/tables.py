@@ -1,4 +1,4 @@
-"""Reference divisor tables for n = 1..50 and error-bound utilities.
+"""Reference divisor tables for n = 1..50.
 
 The tables give the expected normalised range (``xi``) and expected
 normalised interquartile range (``eta``) of standard normal samples, as
@@ -14,20 +14,15 @@ and eta(24) (1.3294858 -> 1.330) differ from a single rounding.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Callable
 
 __all__ = [
-    "TableKind",
     "DivisorTable",
-    "ErrorBounds",
     "load_tables",
     "xi_table",
     "eta_table",
-    "error_bounds",
     "FIXTURE_NAME",
 ]
 
@@ -36,16 +31,11 @@ FIXTURE_NAME = "divisor_tables.tsv"
 N_MIN, N_MAX = 1, 50
 
 
-class TableKind(enum.Enum):
-    XI = "xi"
-    ETA = "eta"
-
-
 @dataclass(frozen=True)
 class DivisorTable:
     """Immutable lookup table n -> divisor value for n in 1..50."""
 
-    kind: TableKind
+    name: str
     values: tuple[float, ...]  # index 0 holds n = 1
 
     def __post_init__(self):
@@ -54,18 +44,8 @@ class DivisorTable:
 
     def value(self, n: int) -> float:
         if not N_MIN <= n <= N_MAX:
-            raise KeyError(f"{self.kind.value} table covers n in {N_MIN}..{N_MAX}, got {n}")
+            raise KeyError(f"{self.name} table covers n in {N_MIN}..{N_MAX}, got {n}")
         return self.values[n - 1]
-
-
-@dataclass(frozen=True)
-class ErrorBounds:
-    """Sup/inf of |reference - approximation| over an integer range."""
-
-    sup_abs: float
-    inf_abs: float
-    argmax_n: int
-    argmin_n: int
 
 
 def _read_fixture() -> list[tuple[int, float, float]]:
@@ -92,10 +72,7 @@ def load_tables() -> tuple[DivisorTable, DivisorTable]:
         raise ValueError("xi must be strictly increasing for n >= 2")
     if any(b < a for a, b in zip(eta_vals, eta_vals[1:])):
         raise ValueError("eta must be non-decreasing")
-    return (
-        DivisorTable(TableKind.XI, xi_vals),
-        DivisorTable(TableKind.ETA, eta_vals),
-    )
+    return DivisorTable("xi", xi_vals), DivisorTable("eta", eta_vals)
 
 
 def xi_table(n: int) -> float:
@@ -106,24 +83,3 @@ def xi_table(n: int) -> float:
 def eta_table(n: int) -> float:
     """Tabulated expected normalised IQR for n in 1..50."""
     return load_tables()[1].value(n)
-
-
-def error_bounds(
-    reference: DivisorTable,
-    approx: Callable[[int], float],
-    n_min: int,
-    n_max: int,
-) -> ErrorBounds:
-    """Sup and inf of |reference(n) - approx(n)| over n_min..n_max."""
-    if n_min < N_MIN or n_max > N_MAX or n_min > n_max:
-        raise ValueError(f"range must satisfy {N_MIN} <= n_min <= n_max <= {N_MAX}")
-    sup_abs = -1.0
-    inf_abs = float("inf")
-    argmax_n = argmin_n = n_min
-    for n in range(n_min, n_max + 1):
-        err = abs(reference.value(n) - approx(n))
-        if err > sup_abs:
-            sup_abs, argmax_n = err, n
-        if err < inf_abs:
-            inf_abs, argmin_n = err, n
-    return ErrorBounds(sup_abs, inf_abs, argmax_n, argmin_n)

@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
+import scalar_reference as ref
 from summarysd.cli import main
+from summarysd.estimators import CorrectionOrder
 
 SAMPLE_CSV = """study_id,n,min,q1,median,q3,max
 alpha,10,0,,4,,10
@@ -203,6 +206,38 @@ class TestTables:
         # n = 2 has a table value and an asymptote but no second-order divisor.
         assert rows[0][1:3] == ["1.144", "0.564432"] and rows[0][3:] == ["", ""]
         assert all(cell != "" for row in rows[1:] for cell in row)
+
+    @pytest.mark.parametrize("cutoff", [50, 30])
+    @pytest.mark.parametrize("correction", ["none", "first", "second"])
+    @pytest.mark.parametrize("which", ["xi", "eta"])
+    def test_every_cell(self, capsys, which, correction, cutoff):
+        order = CorrectionOrder(correction)
+        index, asymptotic, corrected = {
+            "xi": (1, ref.blom_range_divisor, lambda n: ref.xi_hat(n, cutoff)),
+            "eta": (2, ref.blom_iqr_divisor, lambda n: ref.eta_hat(n, order, cutoff)),
+        }[which]
+        fixture = resources.files("summarysd.data").joinpath("divisor_tables.tsv").read_text()
+        column = [line.split("\t")[index] for line in fixture.splitlines()]
+
+        def printed(f, n):
+            """``f(n)`` as a cell: empty where the reference raises."""
+            try:
+                return format(f(n), ".6g")
+            except ValueError:
+                return ""
+
+        expected = ["n\ttable\tasymptotic\tcorrected\tresidual"]
+        for n in range(1, 61):
+            row = [str(n), format(float(column[n - 1]), ".6g") if n <= 50 else "", "", "", ""]
+            if n >= 2:
+                row[2], row[3] = printed(asymptotic, n), printed(corrected, n)
+                if row[1] and row[3]:
+                    row[4] = format(float(row[1]) - corrected(n), ".6g")
+            expected.append("\t".join(row))
+        code, out, err = run(capsys, "tables", "--which", which, "--range", "1:60",
+                             "--correction", correction, "--cutoff", str(cutoff))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == expected
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "tables", "--range", "9:2")

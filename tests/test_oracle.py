@@ -119,6 +119,12 @@ class TestExpectedRange:
             QuadratureConfig(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureConfig(integration_bound=4.0)
+        for value in (math.nan, math.inf):
+            for field in ("abs_tol", "rel_tol"):
+                with pytest.raises(ValueError, match="^tolerances must be positive$"):
+                    QuadratureConfig(**{field: value})
+            with pytest.raises(ValueError, match="^integration bound must be at least 8$"):
+                QuadratureConfig(integration_bound=value)
 
 
 class TestExpectedIqr:
@@ -222,6 +228,20 @@ class TestExpectedIqr:
     def test_replication_floor(self):
         with pytest.raises(ValueError):
             McConfig(replications=5_000)
+
+    @pytest.mark.parametrize("field, value", [
+        ("replications", 20_000.0),
+        ("replications", "20000"),
+        ("chunk_size", True),
+        ("chunk_size", 2.5),
+        ("seed", True),
+        ("seed", False),
+        ("seed", 1.5),
+        ("seed", None),
+    ])
+    def test_config_fields_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value!r}$"):
+            McConfig(**{"replications": 10_000, field: value})
 
 
 class TestRegeneration:

@@ -1,14 +1,15 @@
-"""Fixture integrity and error-bound utilities."""
+"""Fixture integrity, and the divisors' errors against the fixture."""
 
 import hashlib
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from summarysd import tables
 from summarysd.estimators import CorrectionOrder, eta_hat, xi_hat
 from summarysd.specfun import std_normal_quantile
-from summarysd.tables import error_bounds, eta_table, load_tables, xi_table
+from summarysd.tables import eta_table, load_tables, xi_table
 
 # Frozen checksum of the shipped fixture; any re-transcription must be
 # reviewed deliberately.
@@ -21,6 +22,11 @@ def blom_range(n):
 
 def blom_iqr(n):
     return 2 * std_normal_quantile((0.75 * n - 0.125) / (n + 0.25))
+
+
+def abs_errors(table, approx):
+    """|table(n) - approx(n)| for n = 2..50; index i holds n = i + 2."""
+    return np.abs(np.array([table(n) - approx(n) for n in range(2, 51)]))
 
 
 class TestFixture:
@@ -51,52 +57,34 @@ class TestFixture:
 
     @pytest.mark.parametrize("n", [0, 51, -3])
     def test_lookup_errors(self, n):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match=f"^'xi table covers n in 1..50, got {n}'$"):
             xi_table(n)
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match=f"^'eta table covers n in 1..50, got {n}'$"):
             eta_table(n)
 
 
 class TestErrorBounds:
-    def test_self_comparison_is_zero(self):
-        xi_tab, eta_tab = load_tables()
-        for tab in (xi_tab, eta_tab):
-            eb = error_bounds(tab, tab.value, 2, 50)
-            assert eb.sup_abs == 0.0
-            assert eb.inf_abs == 0.0
-
-    def test_empty_or_bad_range(self):
-        xi_tab, _ = load_tables()
-        with pytest.raises(ValueError):
-            error_bounds(xi_tab, xi_tab.value, 10, 5)
-        with pytest.raises(ValueError):
-            error_bounds(xi_tab, xi_tab.value, 0, 50)
-
     def test_uncorrected_iqr_divisor_bounds(self):
         # Published figures for the asymptotic IQR divisor: sup ~ 0.580,
         # inf ~ 0.030 over n = 2..50.
-        _, eta_tab = load_tables()
-        eb = error_bounds(eta_tab, blom_iqr, 2, 50)
-        assert eb.sup_abs == pytest.approx(0.580, abs=0.001)
-        assert eb.inf_abs == pytest.approx(0.030, abs=0.001)
-        assert eb.argmax_n == 2
+        err = abs_errors(eta_table, blom_iqr)
+        assert err.max() == pytest.approx(0.580, abs=0.001)
+        assert err.min() == pytest.approx(0.030, abs=0.001)
+        assert err.argmax() == 0  # at n = 2
 
     def test_uncorrected_range_divisor_bounds(self):
         # sup ~ 0.051 / inf ~ 0.0003 (printed with the wrong symbol in
         # the source text; the values match the range table).
-        xi_tab, _ = load_tables()
-        eb = error_bounds(xi_tab, blom_range, 2, 50)
-        assert eb.sup_abs == pytest.approx(0.051, abs=0.001)
-        assert eb.inf_abs == pytest.approx(0.0003, abs=0.0002)
+        err = abs_errors(xi_table, blom_range)
+        assert err.max() == pytest.approx(0.051, abs=0.001)
+        assert err.min() == pytest.approx(0.0003, abs=0.0002)
 
     def test_corrected_iqr_divisor_bounds(self):
-        _, eta_tab = load_tables()
-        eb = error_bounds(eta_tab, lambda n: eta_hat(n, CorrectionOrder.FIRST), 2, 50)
-        assert eb.sup_abs <= 0.031
-        assert eb.inf_abs < 0.0002
+        err = abs_errors(eta_table, lambda n: eta_hat(n, CorrectionOrder.FIRST))
+        assert err.max() <= 0.031
+        assert err.min() < 0.0002
 
     def test_corrected_range_divisor_bounds(self):
-        xi_tab, _ = load_tables()
-        eb = error_bounds(xi_tab, xi_hat, 2, 50)
-        assert eb.sup_abs <= 0.006
-        assert eb.inf_abs < 0.0002
+        err = abs_errors(xi_table, xi_hat)
+        assert err.max() <= 0.006
+        assert err.min() < 0.0002
