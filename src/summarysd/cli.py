@@ -152,7 +152,9 @@ def _read_chunk(reader, header: list[str]):
     columns (placeholders for those rows), and why the reading stopped
     early (``line N: reason``: a ``csv.Error`` or a byte that is not
     UTF-8, the rows from that one on left out), or None.  Blank lines
-    are skipped; cells missing from a short row are empty.
+    are skipped; cells missing from a short row are empty.  A row with a
+    cell past the header's width that is not blank is an error, whose
+    reason comes before those of its cells.
     """
     rows, lines, error = [], [], None
     try:
@@ -173,13 +175,18 @@ def _read_chunk(reader, header: list[str]):
         rows, lines = rows[:bad], lines[:bad]
         columns = [col[:bad] for col in columns]
     width = len(header)
+    problems = {}
+    if len(columns) > width:
+        for i, row in enumerate(rows):
+            if any(map(str.strip, row[width:])):
+                problems[i] = f"row has {len(row)} cells, header has {width}"
     where = {name: i for i, name in enumerate(header)}
     # Pad to ``width`` columns plus one empty column at index ``width``,
     # which the columns absent from the header read.
     columns = columns[:width]
     columns += [("",) * len(rows)] * (width + 1 - len(columns))
     study_ids, *cells = (columns[where.get(col, width)] for col in INPUT_COLUMNS)
-    parsed, problems = [], {}
+    parsed = []
     for col, col_cells in zip(INPUT_COLUMNS[1:], cells):
         array, found = _parse_column(col, col_cells)
         parsed.append(array)
@@ -351,17 +358,15 @@ def cmd_tables(args) -> int:
 def cmd_refit(args) -> int:
     from . import refit
 
-    if args.kind == "delta":
-        if args.order == "second":
-            raise FatalCliError("--order second applies to the epsilon fit only")
-        series = refit.residual_series(refit.ResidualKind.DELTA)
-        fit = refit.fit_delta(series)
-    else:
-        series = refit.residual_series(refit.ResidualKind.EPSILON)
-        if args.order == "second":
-            fit = refit.fit_epsilon_quadratic(series)
-        else:
-            fit = refit.fit_epsilon_linear(series)
+    fits = {
+        ("delta", "first"): refit.fit_delta,
+        ("epsilon", "first"): refit.fit_epsilon_linear,
+        ("epsilon", "second"): refit.fit_epsilon_quadratic,
+    }
+    if (args.kind, args.order) not in fits:
+        raise FatalCliError("--order second applies to the epsilon fit only")
+    series = refit.residual_series(refit.ResidualKind(args.kind))
+    fit = fits[args.kind, args.order](series)
     with _open_output(args.emit_series) as series_out:
         print(fit.format_summary())
         if series_out is not None:

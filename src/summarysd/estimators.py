@@ -333,12 +333,9 @@ def estimate_mean(
     the 1/(4n) term.  C2 uses (a + 2Q1 + 2m + 2Q3 + b)/8 and C3 uses
     (Q1 + m + Q3)/3.
     """
-    n, values = summary.columns()
-    codes, errors = _scenario_codes(~np.isnan(values), scenario)
-    if errors:
-        raise ValueError(errors[0])
+    code = SCENARIOS.index(summary.scenario(scenario))
     with np.errstate(all="ignore"):
-        return float(_means(codes, n, values, simple_c1)[0])
+        return float(_means(code, *summary.columns(), simple_c1)[0])
 
 
 def _reject(n: np.ndarray, bad: np.ndarray, reason: str) -> None:

@@ -94,6 +94,10 @@ class QuadratureConfig:
     integration_bound: float = 8.0
 
     def __post_init__(self):
+        for name in ("abs_tol", "rel_tol", "integration_bound"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ValueError("tolerances must be positive")
         if not 8.0 <= self.integration_bound < math.inf:
@@ -118,14 +122,6 @@ class McConfig:
             raise ValueError("chunk size must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-    def chunk_schedule(self) -> list[int]:
-        """Deterministic chunk sizes summing to ``replications``."""
-        full, rem = divmod(self.replications, self.chunk_size)
-        sched = [self.chunk_size] * full
-        if rem:
-            sched.append(rem)
-        return sched
 
 
 # Trapezoid levels: 2**level panels on [-b, b].
@@ -180,11 +176,12 @@ def expected_range(n: int, cfg: QuadratureConfig = QuadratureConfig()) -> float:
 # Per convention: sample size at table index n, fractional rank of
 # quantile p among m.  Quarter-groups is type 7 on 4n + 1 draws, with
 # whole quartile ranks n + 1 and 3n + 1.
+_TYPE7_RANK = lambda p, m: (m - 1) * p + 1.0
 _QUARTILE_RANKS = {
     QuantileConvention.BLOM_INTERP: (lambda n: n, lambda p, m: p * (m + 0.25) + 0.375),
-    QuantileConvention.TYPE7_INTERP: (lambda n: n, lambda p, m: (m - 1) * p + 1.0),
+    QuantileConvention.TYPE7_INTERP: (lambda n: n, _TYPE7_RANK),
     QuantileConvention.NEAREST_RANK: (lambda n: n, lambda p, m: float(round((m + 1) * p))),
-    QuantileConvention.QUARTER_GROUPS: (lambda n: 4 * n + 1, lambda p, m: (m - 1) * p + 1.0),
+    QuantileConvention.QUARTER_GROUPS: (lambda n: 4 * n + 1, _TYPE7_RANK),
 }
 
 # The closed interval just inside (0, 1), which the quantile accepts.
@@ -254,7 +251,8 @@ def expected_iqr(n: int, cfg: McConfig = McConfig()) -> tuple[float, float]:
     """
     if n < 2:
         raise ValueError(f"expected IQR defined for n >= 2, got {n}")
-    schedule = cfg.chunk_schedule()
+    full, rem = divmod(cfg.replications, cfg.chunk_size)
+    schedule = [cfg.chunk_size] * full + ([rem] if rem else [])
     key = (list(QuantileConvention).index(cfg.quantile_convention), n)
     streams = np.random.SeedSequence(cfg.seed, spawn_key=key).spawn(len(schedule))
     total = 0.0

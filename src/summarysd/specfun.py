@@ -2,15 +2,15 @@
 
 These functions carry the accuracy contract the rest of the library
 relies on (absolute error below 1e-12 for the CDF, quantile consistent
-with the CDF to the same level).  The density and the CDF take one
-float or an array.
+with the CDF to the same level).  The density, the CDF and
+:func:`std_normal_quantile` take one float or an array.
 
 Both array quantiles evaluate Wichura's PPND16 rational approximation,
 written once in :func:`_ppnd16`.  :func:`std_normal_quantile_polished`,
-with its one-element view :func:`std_normal_quantile`, gives the
-divisors that ``estimate`` prints.  In it numpy does only the correctly
-rounded ``+ - * /`` and ``sqrt``; the transcendental steps (``log`` in
-the approximation, ``exp`` and ``erfc`` in the Newton step's
+the array form of :func:`std_normal_quantile`, gives the divisors that
+``estimate`` prints.  In it numpy does only the correctly rounded
+``+ - * /`` and ``sqrt``; the transcendental steps (``log`` in the
+approximation, ``exp`` and ``erfc`` in the Newton step's
 :func:`std_normal_pdf` and :func:`std_normal_cdf`) are libm's
 ``math.log``, ``math.exp`` and ``math.erfc`` mapped over the array.
 numpy's own ``log`` and ``exp`` differ from libm by one ulp at some
@@ -214,16 +214,8 @@ def std_normal_quantile_polished(p: np.ndarray) -> np.ndarray:
         return np.where(dens > 1e-300, x - (std_normal_cdf(x) - p) / dens, x)
 
 
-def std_normal_quantile(p: float) -> float:
-    """Quantile (inverse CDF) of the standard normal: one element of
-    :func:`std_normal_quantile_polished`.
-
-    Raises
-    ------
-    ValueError
-        If ``p`` is outside the open interval (0, 1).
-    """
-    return float(std_normal_quantile_polished(np.array([p], dtype=float))[0])
+#: The quantile of one number as a float, or of an array as an array.
+std_normal_quantile = _elementwise(std_normal_quantile_polished)
 
 
 def std_normal_quantile_vec(p: np.ndarray) -> np.ndarray:

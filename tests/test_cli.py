@@ -171,6 +171,25 @@ class TestEstimate:
         assert len(out.strip().splitlines()) == 2
         assert "duplicate" in err
 
+    def test_cell_past_the_header_is_row_error(self, capsys, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(
+            "study_id,n,min,median,max\n"
+            "r1,10,1,5,9,EXTRA\n"  # a cell past the header: no estimate
+            "r2,10,1,5,9,, \n"  # blank cells past it: allowed
+            "r3,x,1,5,9,7\n"  # the width's reason comes before the cells'
+            ",10,1,5,9,7\n"  # an empty id still replaces it
+            "r1,10,1,5,9\n"  # a rejected row's id is not yet seen
+        )
+        code, out, err = run(capsys, "estimate", str(path))
+        assert code == 0
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["r2", "r1"]
+        assert err == (
+            "error: line 2 (r1): row has 6 cells, header has 5\n"
+            "error: line 4 (r3): row has 6 cells, header has 5\n"
+            "error: line 5: empty study_id\n"
+        )
+
 
 class TestTables:
     def test_default_range(self, capsys):

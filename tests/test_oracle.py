@@ -9,6 +9,7 @@ import pytest
 from scipy import integrate, special
 
 from summarysd import oracle, tables
+from summarysd.estimators import CorrectionOrder, eta_hat, xi_hat
 from summarysd.oracle import (
     McConfig,
     QuadratureConfig,
@@ -125,6 +126,11 @@ class TestExpectedRange:
                     QuadratureConfig(**{field: value})
             with pytest.raises(ValueError, match="^integration bound must be at least 8$"):
                 QuadratureConfig(integration_bound=value)
+        for field in ("abs_tol", "rel_tol", "integration_bound"):
+            for value in ("1e-9", None, True, False):
+                with pytest.raises(ValueError,
+                                   match=rf"^{field} must be a real number, got {value!r}$"):
+                    QuadratureConfig(**{field: value})
 
 
 class TestExpectedIqr:
@@ -315,3 +321,35 @@ class TestFixtureProvenance:
 
     def test_single_rounding_misses_exactly_three_entries(self):
         assert self.mismatches(3) == [("xi", 12), ("eta", 12), ("eta", 24)]
+
+
+class TestBiasAudit:
+    """E[SD estimate]/sigma for normal data, from the exact expected
+    spreads.  The corrected IQR divisor is fitted to a table indexed by
+    quartile-group count q, whose entry is E[IQR] of 4q + 1 draws, so
+    the default C3 estimate of a study of n reads low for small n.  The
+    range correction holds."""
+
+    @pytest.mark.parametrize("conv, order, n, ratio", [
+        *[("type7", "first", n, r) for n, r in
+          ((2, 0.506), (5, 0.771), (10, 0.896), (20, 0.951), (50, 0.978), (51, 1.001))],
+        *[("type7", "none", n, r) for n, r in
+          ((2, 1.000), (5, 0.996), (10, 1.008), (20, 1.004), (50, 1.001))],
+        ("type7", "second", 3, 0.710),
+        ("blom", "first", 5, 1.096),  # Blom-interpolated quartiles read high
+    ])
+    def test_c3(self, conv, order, n, ratio):
+        value = exact_iqr(n, QuantileConvention(conv)) / eta_hat(n, CorrectionOrder(order))
+        assert value == pytest.approx(ratio, abs=5e-4)
+
+    def test_c2_averages_the_two(self):
+        iqr = exact_iqr(5, QuantileConvention.TYPE7_INTERP)
+        value = 0.5 * (range_reference(5) / xi_hat(5) + iqr / eta_hat(5))
+        assert value == pytest.approx(0.885, abs=5e-4)
+
+    def test_c1_within_a_third_of_a_percent(self):
+        ratio = {n: range_reference(n) / xi_hat(n) for n in range(2, 51)}
+        worst = max(ratio, key=lambda n: abs(ratio[n] - 1.0))
+        assert worst == 3
+        assert ratio[worst] == pytest.approx(0.9969, abs=5e-4)
+        assert round(100 * abs(ratio[worst] - 1.0), 2) == 0.31  # percent

@@ -109,6 +109,13 @@ class TestQuantile:
         vals = [std_normal_quantile(p) for p in ps]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    def test_array_in_array_out(self):
+        ps = np.array([0.1, 0.5, 0.975])
+        got = std_normal_quantile(ps)
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        assert got.tolist() == [std_normal_quantile(p) for p in ps.tolist()]
+        assert type(std_normal_quantile(0.975)) is float
+
 
 class TestVectorised:
     def test_matches_scalar(self):
