@@ -130,18 +130,41 @@ def _parse_column(col: str, cells) -> tuple[np.ndarray, dict[int, str]]:
     return parsed, problems
 
 
-def _undecodable(rows) -> tuple[int, str] | None:
-    """The index of the first of ``rows`` that holds a byte that is not
-    UTF-8, and what is wrong with it, or None.  Input is decoded with
-    ``surrogateescape``, which turns such a byte into a lone surrogate,
-    the only text that does not encode back to UTF-8."""
-    for i, row in enumerate(rows):
-        try:
-            "".join(row).encode()
-        except UnicodeEncodeError as exc:
-            byte = ord(exc.object[exc.start]) - 0xDC00
-            return i, f"'utf-8' codec can't decode byte 0x{byte:02x}"
-    return None
+def _read_rows(reader, limit: int):
+    """Read up to ``limit`` rows of ``reader``; blank lines are skipped.
+
+    Returns the rows, the physical line number of each, their cells
+    transposed into columns (short rows padded with empty cells), and
+    why the reading stopped early (``line N: reason``: a ``csv.Error``
+    or a byte that is not UTF-8, the rows from that one on left out), or
+    None.  Input is decoded with ``surrogateescape``, which turns a byte
+    that is not UTF-8 into a lone surrogate, the only text that does not
+    encode back to UTF-8; one check covers the whole read.
+    """
+    rows, lines, error = [], [], None
+    try:
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
+                if len(rows) == limit:
+                    break
+    except csv.Error as exc:
+        error = f"line {reader.line_num}: {exc}"
+    columns = list(zip_longest(*rows, fillvalue=""))
+    try:
+        "".join(map("".join, columns)).encode()
+    except UnicodeEncodeError:
+        for bad, row in enumerate(rows):
+            try:
+                "".join(row).encode()
+            except UnicodeEncodeError as exc:
+                byte = ord(exc.object[exc.start]) - 0xDC00
+                error = f"line {lines[bad]}: 'utf-8' codec can't decode byte 0x{byte:02x}"
+                break
+        rows, lines = rows[:bad], lines[:bad]
+        columns = [col[:bad] for col in columns]
+    return rows, lines, columns, error
 
 
 def _read_chunk(reader, header: list[str]):
@@ -150,30 +173,11 @@ def _read_chunk(reader, header: list[str]):
     Returns the physical line number and study id of each row, the
     rows whose cells do not parse (index -> reason), the n and value
     columns (placeholders for those rows), and why the reading stopped
-    early (``line N: reason``: a ``csv.Error`` or a byte that is not
-    UTF-8, the rows from that one on left out), or None.  Blank lines
-    are skipped; cells missing from a short row are empty.  A row with a
-    cell past the header's width that is not blank is an error, whose
-    reason comes before those of its cells.
+    early, as :func:`_read_rows` gives it.  Cells missing from a short
+    row are empty.  A row with a cell past the header's width that is
+    not blank is an error, whose reason comes before those of its cells.
     """
-    rows, lines, error = [], [], None
-    try:
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)
-                if len(rows) == CHUNK_ROWS:
-                    break
-    except csv.Error as exc:
-        error = f"line {reader.line_num}: {exc}"
-    columns = list(zip_longest(*rows, fillvalue=""))
-    try:
-        "".join(map("".join, columns)).encode()
-    except UnicodeEncodeError:
-        bad, reason = _undecodable(rows)
-        error = f"line {lines[bad]}: {reason}"
-        rows, lines = rows[:bad], lines[:bad]
-        columns = [col[:bad] for col in columns]
+    rows, lines, columns, error = _read_rows(reader, CHUNK_ROWS)
     width = len(header)
     problems = {}
     if len(columns) > width:
@@ -273,14 +277,12 @@ def cmd_estimate(args) -> int:
         raise FatalCliError(f"cannot read {args.input}: {exc}")
     reader = csv.reader(fh)
     with fh:
-        try:
-            header = next(reader, None)
-        except csv.Error as exc:
-            raise FatalCliError(f"{args.input}: line {reader.line_num}: {exc}") from None
-        if header is None:
+        rows, _, _, error = _read_rows(reader, 1)
+        if error is not None:
+            raise FatalCliError(f"{args.input}: {error}")
+        if not rows:
             raise FatalCliError(f"{args.input}: empty file, header row required")
-        if bad := _undecodable([header]):
-            raise FatalCliError(f"{args.input}: line {reader.line_num}: {bad[1]}")
+        header = rows[0]
         faults = {
             "unknown columns": [c for c in header if c not in INPUT_COLUMNS],
             "repeated columns": [c for c in dict.fromkeys(header) if header.count(c) > 1],
@@ -381,7 +383,6 @@ def cmd_oracle(args) -> int:
     n_min, n_max = _parse_range(args.range, lo=2)
     if n_max > tables.N_MAX:
         raise FatalCliError(f"oracle range limited to n <= {tables.N_MAX}")
-    cfg_q = oracle.QuadratureConfig()
     try:
         cfg_mc = oracle.McConfig(replications=args.reps, seed=args.seed, chunk_size=args.chunk_size)
     except ValueError as exc:
@@ -396,7 +397,7 @@ def cmd_oracle(args) -> int:
             raise FatalCliError(f"--convention must be one of {names}, got {args.convention!r}")
     with _open_output(args.report, sys.stderr) as report:
         result = oracle.regenerate_tables(
-            cfg_q, cfg_mc, n_min, n_max, which=args.which, conventions=conventions
+            cfg_mc, n_min, n_max, which=args.which, conventions=conventions
         )
         for line in result.fixture_lines():
             print(line)

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .specfun import _elementwise, _libm, std_normal_quantile, std_normal_quantile_polished
+from .specfun import _elementwise, _libm, std_normal_quantile
 
 __all__ = [
     "Scenario",
@@ -132,10 +132,8 @@ class StudySummary:
     max_b: float | None = None
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+        if not isinstance(self.n, numbers.Integral):
             raise ValueError(f"sample size must be an integer, got {self.n!r}")
-        if self.n >= N_LIMIT:
-            raise ValueError(f"sample size must be < 2**63, got {self.n}")
         if problems := _invalid_rows(*self.columns()):
             raise ValueError(problems[0])
 
@@ -189,17 +187,24 @@ class ColumnEstimates:
 
 def _invalid_rows(n: np.ndarray, values: np.ndarray) -> dict[int, str]:
     """Rows that are not a valid summary, with the reason, NaN marking
-    an absent value: n < 2, then a value that is not finite, then values
-    out of order.  The one validity check of a study, :class:`StudySummary`
-    included."""
+    an absent value: an n column of bools, floats or complex numbers,
+    then n >= 2**63, then n < 2, then a value that is not finite, then
+    values out of order.  The one validity check of a study,
+    :class:`StudySummary` included."""
     unordered = np.zeros(n.shape, dtype=bool)
     highest = np.full(n.shape, -np.inf)
     for v in values:  # each value must reach every reported value before it
         unordered |= v < highest
         highest = np.fmax(highest, v)
     problems: dict[int, str] = {}
-    for r in np.flatnonzero(n < 2).tolist():
-        problems[r] = f"sample size must be >= 2, got {n[r]}"
+    if n.dtype.kind in "bfc":
+        for r, x in enumerate(n.tolist()):
+            problems[r] = f"sample size must be an integer, got {x!r}"
+    else:
+        for r in np.flatnonzero(n >= N_LIMIT).tolist():
+            problems[r] = f"sample size must be < 2**63, got {n[r]}"
+        for r in np.flatnonzero(n < 2).tolist():
+            problems[r] = f"sample size must be >= 2, got {n[r]}"
     for mask, msg in ((np.isinf(values).any(axis=0), _NONFINITE), (unordered, _UNORDERED)):
         for r in np.flatnonzero(mask).tolist():
             problems.setdefault(r, msg)
@@ -381,14 +386,14 @@ def blom_range_divisor(n: int | np.ndarray) -> float | np.ndarray:
     n = 2**52 the position rounds to 1 and there is no divisor."""
     p = _range_position(n)
     _reject(n, p >= 1.0, _RANGE_N_TOO_LARGE)
-    return 2.0 * std_normal_quantile_polished(p)
+    return 2.0 * std_normal_quantile(p)
 
 
 @_elementwise
 def blom_iqr_divisor(n: int | np.ndarray) -> float | np.ndarray:
     """Asymptotic IQR divisor: twice the normal quantile at Blom's
     position (3n/4 - 1/8) / (n + 1/4) of the third quartile."""
-    return 2.0 * std_normal_quantile_polished((0.75 * n - 0.125) / (n + 0.25))
+    return 2.0 * std_normal_quantile((0.75 * n - 0.125) / (n + 0.25))
 
 
 @_elementwise
@@ -507,5 +512,10 @@ def required_sample_size(sigma: float, delta: float, alpha: float, beta: float) 
         raise ValueError("alpha and beta must lie in (0, 1)")
     z_a = std_normal_quantile(1.0 - alpha / 2.0)
     z_b = std_normal_quantile(1.0 - beta)
-    bound = 2.0 * sigma * sigma * (z_a + z_b) ** 2 / (delta * delta)
+    delta2 = delta * delta
+    bound = 2.0 * sigma * sigma * (z_a + z_b) ** 2 / delta2 if delta2 else math.inf
+    if not math.isfinite(bound):
+        raise ValueError(
+            f"sample size bound is not a finite float for sigma={sigma!r}, delta={delta!r}"
+        )
     return math.ceil(bound)

@@ -323,7 +323,6 @@ class RegenerationResult:
 
 
 def regenerate_tables(
-    cfg_q: QuadratureConfig = QuadratureConfig(),
     cfg_mc: McConfig = McConfig(),
     n_min: int = 2,
     n_max: int = tables.N_MAX,
@@ -332,7 +331,8 @@ def regenerate_tables(
 ) -> RegenerationResult:
     """Recompute divisor tables over n_min..n_max.
 
-    ``which`` selects "xi", "eta" or "both".  For eta, every requested
+    ``which`` selects "xi", "eta" or "both".  xi is the range quadrature
+    at the default :class:`QuadratureConfig`.  For eta, every requested
     convention is run and the one with the smallest maximum deviation
     from the fixture table is flagged as best.
     """
@@ -340,7 +340,7 @@ def regenerate_tables(
     result = RegenerationResult(n_values=ns)
     if which in ("xi", "both"):
         for n in ns:
-            result.xi[n] = expected_range(n, cfg_q)
+            result.xi[n] = expected_range(n)
     if which in ("eta", "both"):
         convs = conventions or tuple(QuantileConvention)
         for conv in convs:

@@ -100,11 +100,6 @@ def residual_series(kind: ResidualKind) -> ResidualSeries:
     table = tables.load_tables()[divisor.table]
     ns = np.arange(2, tables.N_MAX + 1)
     values = np.array(table.values)[ns - 1] - divisor.asymptotic(ns)
-    if kind is ResidualKind.EPSILON and np.any(values <= 0):
-        raise ValueError(
-            f"IQR residuals must be positive for the log transform; "
-            f"non-positive at n = {ns[values <= 0].tolist()}"
-        )
     return ResidualSeries(kind, ns, values)
 
 

@@ -5,14 +5,14 @@ relies on (absolute error below 1e-12 for the CDF, quantile consistent
 with the CDF to the same level).  The density, the CDF and
 :func:`std_normal_quantile` take one float or an array.
 
-Both array quantiles evaluate Wichura's PPND16 rational approximation,
-written once in :func:`_ppnd16`.  :func:`std_normal_quantile_polished`,
-the array form of :func:`std_normal_quantile`, gives the divisors that
-``estimate`` prints.  In it numpy does only the correctly rounded
-``+ - * /`` and ``sqrt``; the transcendental steps (``log`` in the
-approximation, ``exp`` and ``erfc`` in the Newton step's
-:func:`std_normal_pdf` and :func:`std_normal_cdf`) are libm's
-``math.log``, ``math.exp`` and ``math.erfc`` mapped over the array.
+Both quantiles evaluate Wichura's PPND16 rational approximation,
+written once in :func:`_ppnd16`.  :func:`std_normal_quantile`, the one
+polished by a Newton step, gives the divisors that ``estimate`` prints.
+In it numpy does only the correctly rounded ``+ - * /`` and
+``sqrt``; the transcendental steps (``log`` in the approximation,
+``exp`` and ``erfc`` in the Newton step's :func:`std_normal_pdf` and
+:func:`std_normal_cdf`) are libm's ``math.log``, ``math.exp`` and
+``math.erfc`` mapped over the array.
 numpy's own ``log`` and ``exp`` differ from libm by one ulp at some
 arguments, which would move printed divisors; mapped libm keeps every
 element bit-identical to a scalar evaluation.
@@ -32,7 +32,6 @@ __all__ = [
     "std_normal_pdf",
     "std_normal_cdf",
     "std_normal_quantile",
-    "std_normal_quantile_polished",
     "std_normal_quantile_vec",
 ]
 
@@ -194,9 +193,10 @@ def _open_unit(p) -> np.ndarray:
     return p
 
 
-def std_normal_quantile_polished(p: np.ndarray) -> np.ndarray:
-    """Quantile (inverse CDF) of the standard normal at every element
-    of ``p``, polished by one Newton step against the erfc-based CDF.
+@_elementwise
+def std_normal_quantile(p: float | np.ndarray) -> float | np.ndarray:
+    """Quantile (inverse CDF) of the standard normal at ``p``, polished
+    by one Newton step against the erfc-based CDF.
 
     The step is skipped in the far tails, where the density underflows
     and the rational form is already exact for double precision
@@ -205,7 +205,7 @@ def std_normal_quantile_polished(p: np.ndarray) -> np.ndarray:
     Raises
     ------
     ValueError
-        If an element of ``p`` is outside the open interval (0, 1).
+        If ``p`` (an element of it) is outside the open interval (0, 1).
     """
     p = _open_unit(p)
     x = _ppnd16(p, partial(_libm, math.log))
@@ -214,15 +214,11 @@ def std_normal_quantile_polished(p: np.ndarray) -> np.ndarray:
         return np.where(dens > 1e-300, x - (std_normal_cdf(x) - p) / dens, x)
 
 
-#: The quantile of one number as a float, or of an array as an array.
-std_normal_quantile = _elementwise(std_normal_quantile_polished)
-
-
 def std_normal_quantile_vec(p: np.ndarray) -> np.ndarray:
     """Normal quantile for bulk inverse-transform sampling.
 
-    The rational approximation of :func:`std_normal_quantile_polished`
-    with numpy's ``log`` and without the Newton polish: the
+    The rational approximation of :func:`std_normal_quantile` with
+    numpy's ``log`` and without the Newton polish: the
     approximation alone is accurate to ~1e-15 (asserted against the
     polished quantile in tests).
     """

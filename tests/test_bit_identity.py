@@ -14,7 +14,6 @@ from summarysd.specfun import (
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
-    std_normal_quantile_polished,
     std_normal_quantile_vec,
 )
 
@@ -98,7 +97,7 @@ def test_density_and_cdf(f, f_ref):
 
 def test_polished_quantile(probabilities):
     expected = bits([ref.std_normal_quantile(p) for p in probabilities.tolist()])
-    assert np.array_equal(bits(std_normal_quantile_polished(probabilities)), expected)
+    assert np.array_equal(bits(std_normal_quantile(probabilities)), expected)
     some = probabilities[::50]
     assert np.array_equal(bits([std_normal_quantile(p) for p in some.tolist()]), expected[::50])
 

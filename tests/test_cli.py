@@ -156,6 +156,23 @@ class TestEstimate:
         assert err == f"error: {path}: line {line}: 'utf-8' codec can't decode byte {byte}\n"
         assert [row.split(",")[0] for row in out.splitlines()] == ["study_id", "a"][:line - 1]
 
+    def test_blank_lines_before_the_header_are_skipped(self, capsys, tmp_path):
+        path = tmp_path / "leading.csv"
+        path.write_text("\n\nstudy_id,n,min,median,max\na,10,0,4,10\n\nb,x,0,4,10\n")
+        code, out, err = run(capsys, "estimate", str(path))
+        assert code == 0
+        assert [row.split(",")[0] for row in out.splitlines()] == ["study_id", "a"]
+        # Line numbers still count every physical line.
+        assert err == "error: line 6 (b): n='x' is not an integer\n"
+
+    @pytest.mark.parametrize("content", ["", "\n", "\n\n\r\n"], ids=["empty", "one", "three"])
+    def test_file_of_blank_lines_has_no_header(self, capsys, tmp_path, content):
+        path = tmp_path / "blank.csv"
+        path.write_text(content, newline="")
+        code, out, err = run(capsys, "estimate", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: empty file, header row required\n"
+
     def test_scenario_override(self, capsys, sample_file):
         _, out, _ = run(capsys, "estimate", str(sample_file), "--scenario", "c3")
         rows = out.strip().splitlines()[1:]

@@ -518,6 +518,23 @@ def test_columns_validate_like_study_summary():
     assert est.invalid.tolist() == [False, True, True, True]
 
 
+@pytest.mark.parametrize("n, reason", [
+    (np.array([10.5]), "sample size must be an integer, got 10.5"),
+    (np.array([10.0]), "sample size must be an integer, got 10.0"),
+    (np.array([True]), "sample size must be an integer, got True"),
+    (np.array([2**63], dtype=np.uint64), "sample size must be < 2**63, got 9223372036854775808"),
+    (np.array([-10**30], dtype=object), "sample size must be >= 2, got -1000000000000000000000000000000"),
+], ids=["float", "integral-float", "bool", "uint64-2**63", "object"])
+def test_columns_reject_the_n_study_summary_rejects(n, reason):
+    values = np.array([[0.0], [np.nan], [4.0], [np.nan], [10.0]])
+    if n.dtype != object:  # an object n reaches the check through StudySummary only
+        est = estimate_columns(n, values)
+        assert est.errors == {0: reason}
+        assert est.invalid.tolist() == [True]
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        StudySummary(n=n.tolist()[0], min_a=0.0, median_m=4.0, max_b=10.0)
+
+
 # Cells: anything on one line, plus the numbers and near-numbers that
 # reach the estimator.
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",),

@@ -1,6 +1,7 @@
 """Mean/SD estimators, corrected divisors, and the planning helper."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from summarysd.estimators import (
     required_sample_size,
     xi_hat,
 )
+from summarysd.specfun import std_normal_quantile
 
 FIRST = CorrectionOrder.FIRST
 NONE = CorrectionOrder.NONE
@@ -149,8 +151,6 @@ class TestDivisors:
         assert xi_hat(50) == pytest.approx(4.498, abs=0.005)
 
     def test_xi_hat_above_cutoff_is_uncorrected(self):
-        from summarysd.specfun import std_normal_quantile
-
         assert xi_hat(51) == 2 * std_normal_quantile(50.625 / 51.25)
 
     def test_range_divisor_ends_where_blom_position_rounds_to_one(self):
@@ -335,3 +335,20 @@ class TestRequiredSampleSize:
         (name,) = [k for k, v in kwargs.items() if v != valid[k]]
         with pytest.raises(ValueError, match=name):
             required_sample_size(**kwargs)
+
+    @pytest.mark.parametrize("sigma, delta", [
+        (1.0, 1e-200),  # delta**2 underflows to 0
+        (1.0, 1e-160),  # delta**2 is subnormal and the bound overflows
+        (1e200, 1.0),  # sigma**2 overflows
+        (1e200, -1e-200),
+    ])
+    def test_bound_beyond_double_precision(self, sigma, delta):
+        with pytest.raises(ValueError, match=re.escape(f"sigma={sigma!r}, delta={delta!r}")):
+            required_sample_size(sigma, delta, 0.05, 0.2)
+
+    def test_large_finite_bound(self):
+        # The same formula as before: 2 sigma^2 (z_a + z_b)^2 / delta^2.
+        z = std_normal_quantile(0.975) + std_normal_quantile(0.8)
+        assert required_sample_size(1.0, 1e-150, 0.05, 0.2) == math.ceil(
+            2.0 * z**2 / (1e-150 * 1e-150)
+        )

@@ -253,9 +253,7 @@ class TestExpectedIqr:
 class TestRegeneration:
     def test_small_regeneration_report(self):
         cfg_mc = McConfig(replications=50_000, seed=11)
-        result = regenerate_tables(
-            QuadratureConfig(), cfg_mc, n_min=2, n_max=6, which="both"
-        )
+        result = regenerate_tables(cfg_mc, n_min=2, n_max=6, which="both")
         assert result.best_convention is QuantileConvention.QUARTER_GROUPS
         # Quadrature side within table rounding at these n.
         for n, dev in result.xi_deviations().items():
