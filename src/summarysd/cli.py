@@ -113,11 +113,7 @@ def _parse_column(col: str, cells) -> tuple[np.ndarray, dict[int, str]]:
             return np.array(list(map(int, cells)), dtype=np.int64), {}
         nan = math.nan
         parsed = np.array([float(x) if x else nan for x in cells])
-        redo = np.isinf(parsed)
-        missing = np.isnan(parsed)
-        if missing.sum() != cells.count(""):  # a cell reads nan
-            redo |= missing & np.array([x != "" for x in cells])
-        redo = np.flatnonzero(redo).tolist()
+        redo = [i for i in np.flatnonzero(~np.isfinite(parsed)).tolist() if cells[i]]
     except (ValueError, OverflowError):
         parsed = np.zeros(len(cells), dtype=np.int64 if col == "n" else float)
         redo = range(len(cells))
@@ -167,8 +163,10 @@ def _read_rows(reader, limit: int):
     return rows, lines, columns, error
 
 
-def _read_chunk(reader, header: list[str]):
-    """Read and parse up to CHUNK_ROWS data rows of ``reader``.
+def _read_chunk(reader, width: int, picks: list[int | None]):
+    """Read and parse up to CHUNK_ROWS data rows of ``reader``, whose
+    header has ``width`` columns and holds each of INPUT_COLUMNS at the
+    index in ``picks`` (None if it does not).
 
     Returns the physical line number and study id of each row, the
     rows whose cells do not parse (index -> reason), the n and value
@@ -178,18 +176,13 @@ def _read_chunk(reader, header: list[str]):
     not blank is an error, whose reason comes before those of its cells.
     """
     rows, lines, columns, error = _read_rows(reader, CHUNK_ROWS)
-    width = len(header)
     problems = {}
     if len(columns) > width:
         for i, row in enumerate(rows):
             if any(map(str.strip, row[width:])):
                 problems[i] = f"row has {len(row)} cells, header has {width}"
-    where = {name: i for i, name in enumerate(header)}
-    # Pad to ``width`` columns plus one empty column at index ``width``,
-    # which the columns absent from the header read.
-    columns = columns[:width]
-    columns += [("",) * len(rows)] * (width + 1 - len(columns))
-    study_ids, *cells = (columns[where.get(col, width)] for col in INPUT_COLUMNS)
+    empty = ("",) * len(rows)
+    study_ids, *cells = (empty if j is None or j >= len(columns) else columns[j] for j in picks)
     parsed = []
     for col, col_cells in zip(INPUT_COLUMNS[1:], cells):
         array, found = _parse_column(col, col_cells)
@@ -294,6 +287,7 @@ def cmd_estimate(args) -> int:
                 f"{args.input}: malformed header ({'; '.join(parts)}); "
                 f"expected a subset of {list(INPUT_COLUMNS)}"
             )
+        picks = [header.index(col) if col in header else None for col in INPUT_COLUMNS]
 
         if args.format != "jsonl":
             sys.stdout.write(SEPARATORS[args.format].join(OUTPUT_COLUMNS) + "\n")
@@ -301,7 +295,7 @@ def cmd_estimate(args) -> int:
         seen_ids: set[str] = set()
         divisor_memo: dict = {}
         while True:
-            lines, ids, problems, n, values, error = _read_chunk(reader, header)
+            lines, ids, problems, n, values, error = _read_chunk(reader, len(header), picks)
             if ids:
                 est = estimate_columns(n, values, order, override, args.cutoff, divisor_memo)
                 out, err = _chunk_output(lines, ids, problems, est, seen_ids, args.format, template)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -115,6 +115,18 @@ class CorrectionOrder(enum.Enum):
     SECOND = "second"
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` can be a reported summary: a number that
+    ``math.isnan`` takes, and not a bool."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    try:
+        math.isnan(value)
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class StudySummary:
     """One study's reported summaries, in the measurement's units.
@@ -134,6 +146,10 @@ class StudySummary:
     def __post_init__(self):
         if not isinstance(self.n, numbers.Integral):
             raise ValueError(f"sample size must be an integer, got {self.n!r}")
+        for field in ("min_a", "q1", "median_m", "q3", "max_b"):
+            value = getattr(self, field)
+            if value is not None and not _is_real(value):
+                raise ValueError(f"{field} must be a real number, got {value!r}")
         if problems := _invalid_rows(*self.columns()):
             raise ValueError(problems[0])
 
@@ -147,9 +163,9 @@ class StudySummary:
 
     def scenario(self, override: Scenario | None = None) -> Scenario:
         """Pick the scenario, preferring C2 > C3 > C1 (most information)."""
-        codes, errors = _scenario_codes(~np.isnan(self.columns()[1]), override)
-        if errors:
-            raise ValueError(errors[0])
+        codes, unfit, reason = _scenario_codes(~np.isnan(self.columns()[1]), override)
+        if unfit[0]:
+            raise ValueError(reason)
         return SCENARIOS[codes[0]]
 
 
@@ -213,21 +229,17 @@ def _invalid_rows(n: np.ndarray, values: np.ndarray) -> dict[int, str]:
 
 def _scenario_codes(
     present: np.ndarray, override: Scenario | None
-) -> tuple[np.ndarray, dict[int, str]]:
+) -> tuple[np.ndarray, np.ndarray, str]:
     """Scenario code per row from which of the five values are present,
-    preferring C2 > C3 > C1, or ``override``; rows it does not fit get
-    an error."""
+    preferring C2 > C3 > C1, or ``override``; the mask of the rows it
+    does not fit, and their error."""
     c1 = present[0] & present[2] & present[4]
     c3 = present[1] & present[2] & present[3]
     if override is None:
-        codes = np.where(c3, np.where(c1, _C2, _C3), _C1)
-        unfit = ~(c1 | c3)
-        msg = _NO_SCENARIO
-    else:
-        codes = np.full(c1.shape, SCENARIOS.index(override))
-        unfit = ~{Scenario.C1: c1, Scenario.C2: c1 & c3, Scenario.C3: c3}[override]
-        msg = f"scenario {override.value} requested but required fields are missing"
-    return codes, dict.fromkeys(np.flatnonzero(unfit).tolist(), msg)
+        return np.where(c3, np.where(c1, _C2, _C3), _C1), ~(c1 | c3), _NO_SCENARIO
+    fits = {Scenario.C1: c1, Scenario.C2: c1 & c3, Scenario.C3: c3}[override]
+    reason = f"scenario {override.value} requested but required fields are missing"
+    return np.full(c1.shape, SCENARIOS.index(override)), ~fits, reason
 
 
 def _means(codes: np.ndarray, n: np.ndarray, values: np.ndarray, simple_c1: bool = False):
@@ -238,7 +250,7 @@ def _means(codes: np.ndarray, n: np.ndarray, values: np.ndarray, simple_c1: bool
         c1 = c1 + (a - 2 * m + b) / (4.0 * n)
     c2 = (a + 2 * q1 + 2 * m + 2 * q3 + b) / 8.0
     c3 = (q1 + m + q3) / 3.0
-    return np.where(codes == _C1, c1, np.where(codes == _C3, c3, c2))
+    return np.choose(codes, (c1, c2, c3))
 
 
 def _divisor_column(kind, n, need, order, cutoff, memo, errors) -> np.ndarray:
@@ -247,8 +259,6 @@ def _divisor_column(kind, n, need, order, cutoff, memo, errors) -> np.ndarray:
     kept there; 1.0 elsewhere.  Rows whose n has no divisor get an
     error."""
     out = np.ones(n.shape)
-    if not need.any():
-        return out
     distinct, inverse = np.unique(n[need], return_inverse=True)
     known = memo.setdefault((kind.name, order, cutoff), {})
     divisors = np.array([known.get(k, math.nan) for k in distinct.tolist()])
@@ -291,18 +301,22 @@ def estimate_columns(
     flagged ``degenerate`` when a spread its SD divides (the range for
     C1, the IQR for C3, either for C2) is exactly zero, and its SD is 0
     when every such spread is.  Every other row also keeps going, with
-    a reason in ``errors``.
+    a reason in ``errors``: any integer n, a Python int beyond 64 bits
+    included, is either estimated or gets its row error.
     """
     n = np.asarray(n)
     values = np.asarray(values, dtype=float)
     errors = _invalid_rows(n, values)
     invalid = np.zeros(n.shape, dtype=bool)
     invalid[list(errors)] = True
-    codes, unfit = _scenario_codes(~np.isnan(values), scenario)
-    for r, msg in unfit.items():
-        errors.setdefault(r, msg)
-    ok = np.ones(n.shape, dtype=bool)
-    ok[list(errors)] = False
+    # Later steps read an int64 n, 2 in the invalid rows, whose n may
+    # not fit int64.
+    n, given_n = np.full(n.shape, 2, dtype=np.int64), n
+    n[~invalid] = given_n[~invalid]
+    codes, unfit, reason = _scenario_codes(~np.isnan(values), scenario)
+    for r in np.flatnonzero(unfit & ~invalid).tolist():
+        errors[r] = reason
+    ok = ~(invalid | unfit)
     memo = {} if divisor_memo is None else divisor_memo
     xi = _divisor_column(DIVISORS["xi"], n, ok & (codes != _C3), order, cutoff, memo, errors)
     eta = _divisor_column(DIVISORS["eta"], n, ok & (codes != _C1), order, cutoff, memo, errors)
@@ -313,13 +327,12 @@ def estimate_columns(
         range_sd = spread_range / xi
         iqr_sd = spread_iqr / eta
         c2_sd = 0.5 * (range_sd + iqr_sd)
-        is_c1, is_c3 = codes == _C1, codes == _C3
-        sd = np.where(is_c1, range_sd, np.where(is_c3, iqr_sd, c2_sd))
+        sd = np.choose(codes, (range_sd, c2_sd, iqr_sd))
         zero_range, zero_iqr = spread_range == 0, spread_iqr == 0
-        degenerate = np.where(is_c1, zero_range, np.where(is_c3, zero_iqr, zero_range | zero_iqr))
+        degenerate = np.choose(codes, (zero_range, zero_range | zero_iqr, zero_iqr))
         # For C2 record the effective divisor total_spread / (2 sd).
         c2_divisor = np.where(c2_sd > 0, (spread_range + spread_iqr) / (2.0 * c2_sd), xi)
-        divisor = np.where(is_c1, xi, np.where(is_c3, eta, c2_divisor))
+        divisor = np.choose(codes, (xi, c2_divisor, eta))
         mean = _means(codes, n, values)
         finite = np.isfinite(mean) & np.isfinite(sd) & np.isfinite(divisor)
     for r in np.flatnonzero(~finite).tolist():
@@ -460,12 +473,19 @@ DIVISORS = {
 }
 
 
-def _one_row(summary, order, scenario, cutoff, with_mean) -> MomentEstimate:
+def estimate_moments(
+    summary: StudySummary,
+    order: CorrectionOrder = CorrectionOrder.FIRST,
+    scenario: Scenario | None = None,
+    cutoff: int = PIECEWISE_CUTOFF,
+) -> MomentEstimate:
+    """Estimate both mean and SD of one study (one row of
+    :func:`estimate_columns`)."""
     est = estimate_columns(*summary.columns(), order, scenario, cutoff)
     if est.errors:
         raise ValueError(est.errors[0])
     return MomentEstimate(
-        mean=float(est.mean[0]) if with_mean else None,
+        mean=float(est.mean[0]),
         sd=float(est.sd[0]),
         scenario=SCENARIOS[est.scenario[0]],
         divisor_used=float(est.divisor[0]),
@@ -480,20 +500,9 @@ def estimate_sd(
     scenario: Scenario | None = None,
     cutoff: int = PIECEWISE_CUTOFF,
 ) -> MomentEstimate:
-    """Estimate the sample SD from the reported spread (one row of
-    :func:`estimate_columns`; ``mean`` is left ``None``)."""
-    return _one_row(summary, order, scenario, cutoff, with_mean=False)
-
-
-def estimate_moments(
-    summary: StudySummary,
-    order: CorrectionOrder = CorrectionOrder.FIRST,
-    scenario: Scenario | None = None,
-    cutoff: int = PIECEWISE_CUTOFF,
-) -> MomentEstimate:
-    """Estimate both mean and SD of one study (one row of
-    :func:`estimate_columns`)."""
-    return _one_row(summary, order, scenario, cutoff, with_mean=True)
+    """Estimate the sample SD from the reported spread:
+    :func:`estimate_moments` with ``mean`` left ``None``."""
+    return replace(estimate_moments(summary, order, scenario, cutoff), mean=None)
 
 
 def required_sample_size(sigma: float, delta: float, alpha: float, beta: float) -> int:

@@ -477,6 +477,30 @@ def test_ids_with_separators_quotes_and_line_breaks(capsys, tmp_path):
         ]
 
 
+@pytest.mark.parametrize("header", [
+    ("max", "n", "study_id", "median", "min"),
+    ("n", "study_id", "q3", "median", "q1"),
+])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_header_in_another_order(capsys, monkeypatch, tmp_path, header, fmt):
+    rng = random.Random(11)
+    lines = [",".join(header)]
+    for i, row in enumerate(mixed_rows(seed=11, count=300)):
+        cells = [dict(zip(HEADER, row)).get(col, "") for col in header]
+        if i < 2 or rng.random() < 0.1:  # short; the first chunk has only short rows
+            cells = cells[:rng.randrange(1, len(header))]
+        elif rng.random() < 0.1:
+            cells.append(" ")  # a blank cell past the header
+        lines.append(",".join(cells) if row else "")
+    path = tmp_path / "reordered.csv"
+    path.write_text("\n".join(lines) + "\n")
+    expected = reference(path.read_text(), fmt, "first", None)
+    assert expected[0].count("\n") > 100
+    assert run(capsys, "estimate", str(path), "--format", fmt) == (0, *expected)
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 2)
+    assert run(capsys, "estimate", str(path), "--format", fmt) == (0, *expected)
+
+
 def test_divisors_evaluated_once_per_distinct_n(capsys, monkeypatch, mixed_file):
     from summarysd import estimators
 
@@ -524,15 +548,23 @@ def test_columns_validate_like_study_summary():
     (np.array([True]), "sample size must be an integer, got True"),
     (np.array([2**63], dtype=np.uint64), "sample size must be < 2**63, got 9223372036854775808"),
     (np.array([-10**30], dtype=object), "sample size must be >= 2, got -1000000000000000000000000000000"),
-], ids=["float", "integral-float", "bool", "uint64-2**63", "object"])
+    (np.array([2**64], dtype=object), "sample size must be < 2**63, got 18446744073709551616"),
+], ids=["float", "integral-float", "bool", "uint64-2**63", "object", "object-2**64"])
 def test_columns_reject_the_n_study_summary_rejects(n, reason):
     values = np.array([[0.0], [np.nan], [4.0], [np.nan], [10.0]])
-    if n.dtype != object:  # an object n reaches the check through StudySummary only
-        est = estimate_columns(n, values)
-        assert est.errors == {0: reason}
-        assert est.invalid.tolist() == [True]
+    est = estimate_columns(n, values)
+    assert est.errors == {0: reason}
+    assert est.invalid.tolist() == [True]
     with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
         StudySummary(n=n.tolist()[0], min_a=0.0, median_m=4.0, max_b=10.0)
+
+
+def test_n_beyond_int64_leaves_the_other_rows_estimated():
+    values = np.array([[0.0] * 2, [np.nan] * 2, [4.0] * 2, [np.nan] * 2, [10.0] * 2])
+    est = estimate_columns([12, 2**64], values)
+    alone = estimate_columns([12], values[:, :1])
+    assert est.errors == {1: f"sample size must be < 2**63, got {2**64}"}
+    assert (est.mean[0], est.sd[0], est.divisor[0]) == (alone.mean[0], alone.sd[0], alone.divisor[0])
 
 
 # Cells: anything on one line, plus the numbers and near-numbers that

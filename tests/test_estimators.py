@@ -86,6 +86,27 @@ class TestStudySummary:
             StudySummary(**kwargs)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n=10, min_a=True, median_m=4, max_b=10), "min_a must be a real number, got True"),
+        (dict(n=10, q1=1, median_m=np.True_, q3=3),
+         f"median_m must be a real number, got {np.True_!r}"),
+        (dict(n=10, q1="3", median_m=4, q3=5), "q1 must be a real number, got '3'"),
+        (dict(n=10, min_a=0, median_m=4, max_b=1j), "max_b must be a real number, got 1j"),
+        (dict(n=1, min_a="3", median_m=4, max_b=10), "min_a must be a real number, got '3'"),
+        (dict(n="10", min_a="3", median_m=4, max_b=10), "sample size must be an integer, got '10'"),
+    ], ids=["bool", "numpy-bool", "str", "complex", "before-n-range", "after-n-type"])
+    def test_summary_that_is_not_a_number_rejected(self, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            StudySummary(**kwargs)
+        assert str(exc.value) == message
+
+    def test_number_types_accepted(self):
+        from decimal import Decimal
+        from fractions import Fraction
+
+        exact = StudySummary(n=10, min_a=Decimal("0.5"), median_m=Fraction(9, 2), max_b=np.float32(10))
+        assert estimate_moments(exact) == estimate_moments(StudySummary(10, 0.5, None, 4.5, None, 10.0))
+
     @pytest.mark.parametrize("n", [np.int64(10), np.int32(10), np.uint16(10)])
     def test_numpy_integer_n_accepted(self, n):
         assert estimate_sd(StudySummary(n=n, min_a=0, median_m=1, max_b=2)).sd > 0
