@@ -115,18 +115,6 @@ class CorrectionOrder(enum.Enum):
     SECOND = "second"
 
 
-def _is_real(value) -> bool:
-    """Whether ``value`` can be a reported summary: a number that
-    ``math.isnan`` takes, and not a bool."""
-    if isinstance(value, (bool, np.bool_)):
-        return False
-    try:
-        math.isnan(value)
-    except TypeError:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class StudySummary:
     """One study's reported summaries, in the measurement's units.
@@ -146,20 +134,26 @@ class StudySummary:
     def __post_init__(self):
         if not isinstance(self.n, numbers.Integral):
             raise ValueError(f"sample size must be an integer, got {self.n!r}")
-        for field in ("min_a", "q1", "median_m", "q3", "max_b"):
-            value = getattr(self, field)
-            if value is not None and not _is_real(value):
-                raise ValueError(f"{field} must be a real number, got {value!r}")
         if problems := _invalid_rows(*self.columns()):
             raise ValueError(problems[0])
 
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """This study as one-row columns for :func:`estimate_columns`.
-        A value given as NaN reads as infinite, so that it is not taken
-        for an absent one."""
-        vals = (self.min_a, self.q1, self.median_m, self.q3, self.max_b)
-        values = [math.nan if v is None else math.inf if math.isnan(v) else v for v in vals]
-        return np.array([self.n]), np.array(values, dtype=float)[:, None]
+        """This study as one-row columns for :func:`estimate_columns`, NaN
+        marking an absent summary.  A summary that is NaN or beyond double
+        range reads as infinite, not as absent or finite.  A bool, or a
+        value that ``math.isnan`` refuses, raises ValueError."""
+        values = []
+        for field in ("min_a", "q1", "median_m", "q3", "max_b"):
+            v = getattr(self, field)
+            try:
+                if isinstance(v, (bool, np.bool_)):
+                    raise TypeError
+                values.append(math.nan if v is None else math.inf if math.isnan(v) else float(v))
+            except OverflowError:
+                values.append(math.inf)
+            except TypeError:
+                raise ValueError(f"{field} must be a real number, got {v!r}") from None
+        return np.array([self.n]), np.array(values)[:, None]
 
     def scenario(self, override: Scenario | None = None) -> Scenario:
         """Pick the scenario, preferring C2 > C3 > C1 (most information)."""
@@ -349,11 +343,15 @@ def estimate_mean(
 
     C1 uses (a + 2m + b)/4 + (a - 2m + b)/(4n); set ``simple_c1`` to drop
     the 1/(4n) term.  C2 uses (a + 2Q1 + 2m + 2Q3 + b)/8 and C3 uses
-    (Q1 + m + Q3)/3.
+    (Q1 + m + Q3)/3.  A mean beyond double precision raises ValueError,
+    as in :func:`estimate_moments`.
     """
     code = SCENARIOS.index(summary.scenario(scenario))
     with np.errstate(all="ignore"):
-        return float(_means(code, *summary.columns(), simple_c1)[0])
+        mean = float(_means(code, *summary.columns(), simple_c1)[0])
+    if not math.isfinite(mean):
+        raise ValueError(_OVERFLOW)
+    return mean
 
 
 def _reject(n: np.ndarray, bad: np.ndarray, reason: str) -> None:
@@ -508,7 +506,8 @@ def estimate_sd(
 def required_sample_size(sigma: float, delta: float, alpha: float, beta: float) -> int:
     """Per-group sample size for detecting a mean difference ``delta``.
 
-    Smallest integer n with n >= 2 sigma^2 (z_{alpha/2} + z_beta)^2 / delta^2.
+    Smallest integer n with n >= 2 sigma^2 (z_{alpha/2} + z_beta)^2 / delta^2,
+    computed from (sigma / delta)^2 when sigma^2 or delta^2 leaves double range.
     """
     for name, value in (("sigma", sigma), ("delta", delta)):
         if not math.isfinite(value):
@@ -519,10 +518,12 @@ def required_sample_size(sigma: float, delta: float, alpha: float, beta: float) 
         raise ValueError("delta must be nonzero")
     if not 0 < alpha < 1 or not 0 < beta < 1:
         raise ValueError("alpha and beta must lie in (0, 1)")
-    z_a = std_normal_quantile(1.0 - alpha / 2.0)
-    z_b = std_normal_quantile(1.0 - beta)
+    z2 = (std_normal_quantile(1.0 - alpha / 2.0) + std_normal_quantile(1.0 - beta)) ** 2
     delta2 = delta * delta
-    bound = 2.0 * sigma * sigma * (z_a + z_b) ** 2 / delta2 if delta2 else math.inf
+    bound = 2.0 * sigma * sigma * z2 / delta2 if delta2 else math.inf
+    if not math.isfinite(bound):
+        ratio = sigma / delta
+        bound = 2.0 * ratio * ratio * z2
     if not math.isfinite(bound):
         raise ValueError(
             f"sample size bound is not a finite float for sigma={sigma!r}, delta={delta!r}"

@@ -521,6 +521,15 @@ def test_divisors_evaluated_once_per_distinct_n(capsys, monkeypatch, mixed_file)
     assert chunks == [100] * (data_rows // 100) + [data_rows % 100] * (data_rows % 100 > 0)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_divisor_memo_emptied_when_full(capsys, monkeypatch, mixed_file, fmt):
+    from summarysd import estimators
+
+    expected = run(capsys, "estimate", str(mixed_file), "--format", fmt)
+    monkeypatch.setattr(estimators, "_MEMO_LIMIT", 8)
+    assert run(capsys, "estimate", str(mixed_file), "--format", fmt) == expected
+
+
 def test_one_row_views_agree_with_columns():
     s = StudySummary(n=12, min_a=0, q1=2, median_m=3, q3=5, max_b=9)
     n, values = s.columns()

@@ -2,10 +2,12 @@
 
 import math
 import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from summarysd.estimators import (
@@ -100,6 +102,16 @@ class TestStudySummary:
             StudySummary(**kwargs)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(n=10, min_a=10**400, median_m=4, max_b=10**401),
+        dict(n=10, min_a=0, median_m=4, max_b=Fraction(10**400, 3)),
+        dict(n=10, min_a=-10**400, median_m=4, max_b=10),
+    ], ids=["int", "fraction", "negative-int"])
+    def test_summary_beyond_double_range_is_not_finite(self, kwargs):
+        with pytest.raises(ValueError) as exc:
+            StudySummary(**kwargs)
+        assert str(exc.value) == "summaries must be finite numbers"
+
     def test_number_types_accepted(self):
         from decimal import Decimal
         from fractions import Fraction
@@ -129,6 +141,16 @@ class TestEstimateMean:
     def test_c2(self):
         s = StudySummary(n=10, min_a=0, q1=1, median_m=2, q3=3, max_b=4)
         assert estimate_mean(s) == pytest.approx((0 + 2 + 4 + 6 + 4) / 8)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(n=10, min_a=1e308, median_m=1.5e308, max_b=1.7e308),  # inf - inf: NaN
+        dict(n=10, q1=1e308, median_m=1.5e308, q3=1.7e308),  # inf
+    ], ids=["c1", "c3"])
+    def test_mean_beyond_double_precision(self, kwargs):
+        for estimate in (estimate_mean, estimate_moments):
+            with pytest.raises(ValueError) as exc:
+                estimate(StudySummary(**kwargs))
+            assert str(exc.value) == "estimate overflows double precision"
 
 
 class TestCorrections:
@@ -280,6 +302,24 @@ class TestEstimateSd:
         assert est.mean == pytest.approx(4.55)
         assert est.sd == pytest.approx(10 / xi_hat(10))
 
+    @pytest.mark.parametrize("estimate", [estimate_moments, estimate_sd])
+    @pytest.mark.parametrize("summary, kwargs, message", [
+        (StudySummary(n=10, median_m=4), {},
+         "no scenario derivable: need {min, median, max} and/or {Q1, median, Q3}"),
+        (StudySummary(n=10, min_a=0, median_m=4, max_b=10), dict(scenario=Scenario.C3),
+         "scenario c3 requested but required fields are missing"),
+        (StudySummary(n=2**52 + 1, min_a=0, median_m=4, max_b=10), {},
+         "n=4503599627370497 is too large for the range divisor"),
+        (StudySummary(n=2, q1=1, median_m=2, q3=3), dict(order=SECOND),
+         "second-order correction is defined for 3 <= n <= 50, got 2"),
+        (StudySummary(n=10, min_a=-1e308, median_m=0, max_b=1.7e308), {},
+         "estimate overflows double precision"),
+    ], ids=["no-scenario", "override", "range-divisor", "second-order", "overflow"])
+    def test_row_error_raised(self, estimate, summary, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            estimate(summary, **kwargs)
+        assert str(exc.value) == message
+
 
 @st.composite
 def full_summaries(draw):
@@ -300,6 +340,12 @@ def full_summaries(draw):
 
 class TestEquivariance:
     @given(full_summaries(), st.floats(0.01, 100), st.floats(-1e5, 1e5))
+    @example(  # c * x near 6.7e7 rounds by up to 7.5e-9 before the spread is taken
+        StudySummary(n=2, min_a=-999995.0, q1=-999995.0, median_m=-999940.0,
+                      q3=-999940.0, max_b=-999865.0),
+        67.34271912615418,
+        0.0,
+    )
     @settings(max_examples=200, deadline=None)
     def test_affine_equivariance(self, s, scale, shift):
         def transformed(c, t):
@@ -315,13 +361,16 @@ class TestEquivariance:
         base_sd = estimate_sd(s).sd
         base_mean = estimate_mean(s)
         scaled = transformed(scale, shift)
-        # SD: scale-equivariant exactly (divisor depends only on n),
-        # translation-invariant exactly.
+        # SD: scale-equivariant and translation-invariant (the divisor
+        # depends only on n), up to the rounding of the transformed
+        # summaries: each is off by at most eps/2 of its size, so a
+        # spread by eps of it, and every divisor on n = 2..300 exceeds 1.
+        eps, size = sys.float_info.epsilon, max(abs(s.min_a), abs(s.max_b))
         assert estimate_sd(transformed(scale, 0.0)).sd == pytest.approx(
-            scale * base_sd, rel=1e-12, abs=1e-9
+            scale * base_sd, rel=1e-12, abs=2 * eps * scale * size
         )
         assert estimate_sd(transformed(1.0, shift)).sd == pytest.approx(
-            base_sd, rel=1e-12, abs=1e-9
+            base_sd, rel=1e-12, abs=2 * eps * (size + abs(shift))
         )
         # Mean: affine-equivariant.
         assert estimate_mean(scaled) == pytest.approx(
@@ -362,10 +411,19 @@ class TestRequiredSampleSize:
         (1.0, 1e-160),  # delta**2 is subnormal and the bound overflows
         (1e200, 1.0),  # sigma**2 overflows
         (1e200, -1e-200),
+        (1e200, 1e-200),  # so does (sigma / delta)**2
     ])
     def test_bound_beyond_double_precision(self, sigma, delta):
         with pytest.raises(ValueError, match=re.escape(f"sigma={sigma!r}, delta={delta!r}")):
             required_sample_size(sigma, delta, 0.05, 0.2)
+
+    @pytest.mark.parametrize("sigma, delta", [
+        (1e200, 1e200),  # both squares overflow
+        (1e-200, 1e-200),  # both squares underflow
+        (1e100, -1e100),
+    ])
+    def test_ordinary_ratio_of_extreme_values(self, sigma, delta):
+        assert required_sample_size(sigma, delta, 0.05, 0.2) == 16
 
     def test_large_finite_bound(self):
         # The same formula as before: 2 sigma^2 (z_a + z_b)^2 / delta^2.
