@@ -90,9 +90,9 @@ _SECOND_ORDER_DOMAIN = (
 )
 _RANGE_N_TOO_LARGE = "n={} is too large for the range divisor"
 
-# Divisors a memo keeps per (divisor, order, cutoff) before it is
-# emptied, so that inputs with millions of distinct n run in bounded
-# memory.
+# A memo keeps the divisors of n below this, per (divisor, order, cutoff),
+# in one array indexed by n.  A larger n is evaluated again in each batch
+# it occurs in, so that millions of distinct n run in bounded memory.
 _MEMO_LIMIT = 1 << 14
 
 
@@ -139,9 +139,9 @@ class StudySummary:
 
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
         """This study as one-row columns for :func:`estimate_columns`, NaN
-        marking an absent summary.  A summary that is NaN or beyond double
-        range reads as infinite, not as absent or finite.  A bool, or a
-        value that ``math.isnan`` refuses, raises ValueError."""
+        marking an absent summary.  A summary that is NaN (signaling too) or
+        beyond double range reads as infinite, not as absent or finite.  A
+        bool, or a value that ``math.isnan`` refuses, raises ValueError."""
         values = []
         for field in ("min_a", "q1", "median_m", "q3", "max_b"):
             v = getattr(self, field)
@@ -149,7 +149,7 @@ class StudySummary:
                 if isinstance(v, (bool, np.bool_)):
                     raise TypeError
                 values.append(math.nan if v is None else math.inf if math.isnan(v) else float(v))
-            except OverflowError:
+            except (OverflowError, ValueError):  # beyond double range, or a signaling NaN
                 values.append(math.inf)
             except TypeError:
                 raise ValueError(f"{field} must be a real number, got {v!r}") from None
@@ -248,25 +248,22 @@ def _means(codes: np.ndarray, n: np.ndarray, values: np.ndarray, simple_c1: bool
 
 
 def _divisor_column(kind, n, need, order, cutoff, memo, errors) -> np.ndarray:
-    """The corrected divisor of ``kind`` for the rows in ``need``,
-    evaluated in one call for the distinct n not yet in ``memo`` and
-    kept there; 1.0 elsewhere.  Rows whose n has no divisor get an
-    error."""
+    """The corrected divisor of ``kind`` for the rows in ``need``, 1.0
+    elsewhere, evaluated in one call for the distinct n not in ``memo``'s
+    array indexed by n.  Rows whose n has no divisor get an error."""
     out = np.ones(n.shape)
     distinct, inverse = np.unique(n[need], return_inverse=True)
-    known = memo.setdefault((kind.name, order, cutoff), {})
-    divisors = np.array([known.get(k, math.nan) for k in distinct.tolist()])
+    known = memo.setdefault((kind.name, order, cutoff), np.full(_MEMO_LIMIT, math.nan))
+    kept = distinct[:np.searchsorted(distinct, known.size)]  # sorted, so a prefix
+    divisors = np.full(distinct.shape, math.nan)
+    divisors[:kept.size] = known[kept]
     miss = np.isnan(divisors)
     if miss.any():
         undefined, reason = kind.domain(distinct, order, cutoff)
         todo = miss & ~undefined
         if todo.any():
-            new_n = distinct[todo]
-            new = kind.corrected(new_n, order, cutoff)
-            divisors[todo] = new
-            if len(known) + new.size > _MEMO_LIMIT:
-                known.clear()
-            known.update(zip(new_n.tolist(), new.tolist()))
+            divisors[todo] = kind.corrected(distinct[todo], order, cutoff)
+            known[kept] = divisors[:kept.size]
         for row in np.flatnonzero(need)[undefined[inverse]].tolist():
             errors.setdefault(row, reason.format(n[row]))
     out[need] = divisors[inverse]
@@ -300,6 +297,9 @@ def estimate_columns(
     """
     n = np.asarray(n)
     values = np.asarray(values, dtype=float)
+    if n.ndim != 1 or values.shape != (5, n.size):
+        raise ValueError(f"n and values must have shapes (k,) and (5, k), "
+                         f"got {n.shape} and {values.shape}")
     errors = _invalid_rows(n, values)
     invalid = np.zeros(n.shape, dtype=bool)
     invalid[list(errors)] = True
@@ -507,7 +507,7 @@ def required_sample_size(sigma: float, delta: float, alpha: float, beta: float) 
     """Per-group sample size for detecting a mean difference ``delta``.
 
     Smallest integer n with n >= 2 sigma^2 (z_{alpha/2} + z_beta)^2 / delta^2,
-    computed from (sigma / delta)^2 when sigma^2 or delta^2 leaves double range.
+    computed from (sigma / delta)^2 when sigma^2 or delta^2 is not a normal float.
     """
     for name, value in (("sigma", sigma), ("delta", delta)):
         if not math.isfinite(value):
@@ -519,8 +519,8 @@ def required_sample_size(sigma: float, delta: float, alpha: float, beta: float) 
     if not 0 < alpha < 1 or not 0 < beta < 1:
         raise ValueError("alpha and beta must lie in (0, 1)")
     z2 = (std_normal_quantile(1.0 - alpha / 2.0) + std_normal_quantile(1.0 - beta)) ** 2
-    delta2 = delta * delta
-    bound = 2.0 * sigma * sigma * z2 / delta2 if delta2 else math.inf
+    underflow = min(sigma * sigma, delta * delta) < np.finfo(float).tiny
+    bound = math.inf if underflow else 2.0 * sigma * sigma * z2 / (delta * delta)
     if not math.isfinite(bound):
         ratio = sigma / delta
         bound = 2.0 * ratio * ratio * z2

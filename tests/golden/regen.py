@@ -1,7 +1,7 @@
 """Rewrite ``manifest.json``: the command-line cases of the golden corpus
 with the SHA-256 of their stdout and stderr and their exit code.
 
-Run from anywhere as ``PYTHONPATH=src python tests/golden/regen.py``.
+Run from the repository root as ``PYTHONPATH=src python tests/golden/regen.py``.
 ``tests/test_golden.py`` runs every case again and compares.  A change
 that alters output on purpose regenerates the manifest and names the
 cases whose hashes moved.

@@ -12,6 +12,7 @@ import json
 import math
 import random
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -298,7 +299,7 @@ def test_non_finite_cells_rejected(capsys, tmp_path, cell, fmt):
     assert len(out.splitlines()) == (1 if fmt == "jsonl" else 2)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, Decimal("sNaN")])
 def test_study_summary_rejects_non_finite(value):
     with pytest.raises(ValueError, match="finite"):
         StudySummary(n=10, min_a=0.0, median_m=value, max_b=10.0)
@@ -522,12 +523,27 @@ def test_divisors_evaluated_once_per_distinct_n(capsys, monkeypatch, mixed_file)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_divisor_memo_emptied_when_full(capsys, monkeypatch, mixed_file, fmt):
+def test_divisor_memo_keeps_only_n_below_limit(capsys, monkeypatch, mixed_file, fmt):
     from summarysd import estimators
 
     expected = run(capsys, "estimate", str(mixed_file), "--format", fmt)
+    passed = {"xi_hat": [], "eta_hat": []}
+    chunks = []
+    for name, calls in passed.items():
+        fn = getattr(estimators, name)
+        monkeypatch.setattr(estimators, name, lambda n, *a, _f=fn, _c=calls:
+                            _c.append((len(chunks), n.copy())) or _f(n, *a))
+    monkeypatch.setattr(cli, "estimate_columns", lambda n, *a: chunks.append(n.size) or estimate_columns(n, *a))
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 100)
     monkeypatch.setattr(estimators, "_MEMO_LIMIT", 8)
     assert run(capsys, "estimate", str(mixed_file), "--format", fmt) == expected
+    for calls in passed.values():
+        # At most one call per chunk, each n at most once in a call, and
+        # an n below the limit in at most one call of the run.
+        assert len({chunk for chunk, _ in calls}) == len(calls) > 1
+        assert all(np.unique(ns).size == ns.size for _, ns in calls)
+        small = np.concatenate([ns[ns < 8] for _, ns in calls])
+        assert small.size == np.unique(small).size > 0
 
 
 def test_one_row_views_agree_with_columns():
@@ -566,6 +582,17 @@ def test_columns_reject_the_n_study_summary_rejects(n, reason):
     assert est.invalid.tolist() == [True]
     with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
         StudySummary(n=n.tolist()[0], min_a=0.0, median_m=4.0, max_b=10.0)
+
+
+@pytest.mark.parametrize("n_shape, values_shape", [
+    ((2,), (5, 1)),  # would broadcast one study's summaries to both n
+    ((2,), (4, 2)),
+    ((2,), (5, 2, 1)),
+    ((2, 1), (5, 2)),
+])
+def test_columns_reject_shapes_that_do_not_match(n_shape, values_shape):
+    with pytest.raises(ValueError, match=re.escape(f"got {n_shape} and {values_shape}")):
+        estimate_columns(np.full(n_shape, 10), np.zeros(values_shape))
 
 
 def test_n_beyond_int64_leaves_the_other_rows_estimated():

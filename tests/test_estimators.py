@@ -425,6 +425,14 @@ class TestRequiredSampleSize:
     def test_ordinary_ratio_of_extreme_values(self, sigma, delta):
         assert required_sample_size(sigma, delta, 0.05, 0.2) == 16
 
+    @pytest.mark.parametrize("sigma, delta, n", [
+        (1e-200, 1e-100, 1),  # sigma**2 underflows to 0
+        (3e-160, 1e-161, 14128),  # sigma**2 is subnormal
+        (3.0, 0.1, 14128),  # the same ratio with normal squares
+    ])
+    def test_square_below_normal_floats(self, sigma, delta, n):
+        assert required_sample_size(sigma, delta, 0.05, 0.2) == n
+
     def test_large_finite_bound(self):
         # The same formula as before: 2 sigma^2 (z_a + z_b)^2 / delta^2.
         z = std_normal_quantile(0.975) + std_normal_quantile(0.8)
