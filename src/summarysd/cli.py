@@ -13,10 +13,11 @@ import argparse
 import contextlib
 import csv
 import math
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
-from itertools import compress, zip_longest
+from itertools import chain, compress, islice, repeat, zip_longest
 
 import numpy as np
 
@@ -126,8 +127,9 @@ def _parse_column(col: str, cells) -> tuple[np.ndarray, dict[int, str]]:
     return parsed, problems
 
 
-def _read_rows(reader, limit: int):
-    """Read up to ``limit`` rows of ``reader``; blank lines are skipped.
+def _read_rows(reader, limit: int, offset: int = 0):
+    """Read up to ``limit`` rows of ``reader``, which starts after line
+    ``offset`` of the file; blank lines are skipped.
 
     Returns the rows, the physical line number of each, their cells
     transposed into columns (short rows padded with empty cells), and
@@ -142,11 +144,11 @@ def _read_rows(reader, limit: int):
         for row in reader:
             if row:
                 rows.append(row)
-                lines.append(reader.line_num)
+                lines.append(offset + reader.line_num)
                 if len(rows) == limit:
                     break
     except csv.Error as exc:
-        error = f"line {reader.line_num}: {exc}"
+        error = f"line {offset + reader.line_num}: {exc}"
     columns = list(zip_longest(*rows, fillvalue=""))
     try:
         "".join(map("".join, columns)).encode()
@@ -163,10 +165,37 @@ def _read_rows(reader, limit: int):
     return rows, lines, columns, error
 
 
-def _read_chunk(reader, width: int, picks: list[int | None]):
-    """Read and parse up to CHUNK_ROWS data rows of ``reader``, whose
-    header has ``width`` columns and holds each of INPUT_COLUMNS at the
-    index in ``picks`` (None if it does not).
+def _splits_plainly(block: list[str], text: str, width: int) -> bool:
+    """Whether the lines ``block``, joined as ``text``, read as
+    ``csv.reader`` reads them when cut at each comma and line end: each
+    line ends in a newline and has ``width`` cells, and none holds a
+    quote, a carriage return, a NUL (which ``csv.reader`` rejects before
+    Python 3.11), a field over the field size limit or a byte that is
+    not UTF-8."""
+    if not text.endswith("\n") or '"' in text or "\r" in text or "\0" in text:
+        return False
+    if set(map(str.count, block, repeat(","))) != {width - 1}:
+        return False
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, block)) > limit:
+        return False
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _read_chunk(fh, line: int, width: int, picks: list[int | None]):
+    """Read and parse up to CHUNK_ROWS data rows of ``fh``, which is
+    past line ``line`` of a file whose header has ``width`` columns and
+    holds each of INPUT_COLUMNS at the index in ``picks`` (None if it
+    does not).
+
+    The next CHUNK_ROWS lines are cut at commas and line ends when that
+    reads them as ``csv.reader`` would, and go through ``csv.reader``
+    otherwise, which reads on from ``fh`` for a quoted field that runs
+    past them or for the rows of skipped blank lines.
 
     Returns the physical line number and study id of each row, the
     rows whose cells do not parse (index -> reason), the n and value
@@ -175,13 +204,20 @@ def _read_chunk(reader, width: int, picks: list[int | None]):
     row are empty.  A row with a cell past the header's width that is
     not blank is an error, whose reason comes before those of its cells.
     """
-    rows, lines, columns, error = _read_rows(reader, CHUNK_ROWS)
-    problems = {}
-    if len(columns) > width:
-        for i, row in enumerate(rows):
-            if any(map(str.strip, row[width:])):
-                problems[i] = f"row has {len(row)} cells, header has {width}"
-    empty = ("",) * len(rows)
+    block = list(islice(fh, CHUNK_ROWS))
+    text = "".join(block)
+    problems, error = {}, None
+    if _splits_plainly(block, text, width):
+        cells = text.replace("\n", ",").split(",")  # ends in one empty cell
+        columns = [cells[j:-1:width] for j in range(width)]
+        lines = range(line + 1, line + 1 + len(block))
+    else:
+        rows, lines, columns, error = _read_rows(csv.reader(chain(block, fh)), CHUNK_ROWS, line)
+        if len(columns) > width:
+            for i, row in enumerate(rows):
+                if any(map(str.strip, row[width:])):
+                    problems[i] = f"row has {len(row)} cells, header has {width}"
+    empty = ("",) * len(lines)
     study_ids, *cells = (empty if j is None or j >= len(columns) else columns[j] for j in picks)
     parsed = []
     for col, col_cells in zip(INPUT_COLUMNS[1:], cells):
@@ -235,14 +271,18 @@ def _chunk_output(lines, ids, problems, est, seen_ids, fmt, template) -> tuple[s
     }
     # Rows that are not a valid summary are rejected before their id
     # counts as seen; rows with no estimate count.
-    rejected = {i for i in errors if i in problems or est.invalid[i]}
-    for i, study_id in enumerate(ids):
-        if not study_id:
-            errors[i] = ": empty study_id"
-        elif study_id in seen_ids:
-            errors[i] = f": duplicate study_id {study_id!r}"
-        elif i not in rejected:
-            seen_ids.add(study_id)
+    rejected = est.invalid.copy()
+    rejected[list(problems)] = True
+    if "" in ids or len(set(ids)) < len(ids) or not seen_ids.isdisjoint(ids):
+        for i, (study_id, skip) in enumerate(zip(ids, rejected.tolist())):
+            if not study_id:
+                errors[i] = ": empty study_id"
+            elif study_id in seen_ids:
+                errors[i] = f": duplicate study_id {study_id!r}"
+            elif not skip:
+                seen_ids.add(study_id)
+    else:
+        seen_ids.update(compress(ids, (~rejected).tolist()))
     keep = np.ones(len(ids), dtype=bool)
     keep[list(errors)] = False
     rows = zip(
@@ -294,8 +334,9 @@ def cmd_estimate(args) -> int:
         template = _row_template(args.format, order)
         seen_ids: set[str] = set()
         divisor_memo: dict = {}
+        line = reader.line_num
         while True:
-            lines, ids, problems, n, values, error = _read_chunk(reader, len(header), picks)
+            lines, ids, problems, n, values, error = _read_chunk(fh, line, len(header), picks)
             if ids:
                 est = estimate_columns(n, values, order, override, args.cutoff, divisor_memo)
                 out, err = _chunk_output(lines, ids, problems, est, seen_ids, args.format, template)
@@ -305,6 +346,7 @@ def cmd_estimate(args) -> int:
                 raise FatalCliError(f"{args.input}: {error}")
             if len(ids) < CHUNK_ROWS:
                 break
+            line = lines[-1]  # a full chunk ends on its last row's last line
     return 0
 
 
@@ -453,10 +495,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except FatalCliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout has gone, as under `| head`.  Python
+        # flushes stdout again at exit, so point it at devnull first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

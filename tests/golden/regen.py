@@ -15,6 +15,14 @@ The input files are checked in, not generated, so that a new numpy
   ``estimate-jsonl-wide-n`` table, its 10 non-finite rows included;
 - ``mixed.csv``: ``mixed_rows(seed=2023, count=2000)`` of
   ``tests/test_columnar.py``;
+- ``crlf.csv``: the first 1500 rows of ``estimate-csv.csv`` with
+  ``\r\n`` line ends and no final line end;
+- ``quoted.csv``: the first 2500 rows of ``estimate-csv.csv`` with a
+  quoted id holding a line break on physical lines 1025 and 1026, which
+  ends the first 1024-line block inside a quoted field; an n of ``x`` on
+  line 1503, in a quote-free block; and, in the block after that, a
+  quoted id holding a comma and a doubled quote on line 2103 and an n of
+  ``2.5`` on line 2203;
 - files that stop ``estimate``: an empty file, one of blank lines, an
   unknown header column, a byte that is not UTF-8 in the header and in
   the second chunk, and a 200 000-character cell.
@@ -34,7 +42,7 @@ from summarysd import cli
 GOLDEN = Path(__file__).resolve().parent
 MANIFEST = GOLDEN / "manifest.json"
 
-DATA_FILES = ("estimate-csv.csv", "wide-n.csv", "mixed.csv")
+DATA_FILES = ("estimate-csv.csv", "wide-n.csv", "mixed.csv", "crlf.csv", "quoted.csv")
 FATAL_FILES = (
     "empty.csv",
     "blank-lines.csv",

@@ -414,3 +414,21 @@ def test_import_leaves_scipy_integrate_out():
     res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "False"
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # As under `summarysd estimate big.csv | head -1`: the reader leaves
+    # while most of the output is still to be written.
+    import summarysd
+
+    path = tmp_path / "big.csv"
+    rows = "".join(f"s{i},10,0,4,10\n" for i in range(20_000))
+    path.write_text("study_id,n,min,median,max\n" + rows)
+    src = os.path.dirname(os.path.dirname(summarysd.__file__))
+    proc = subprocess.Popen([sys.executable, "-m", "summarysd.cli", "estimate", str(path)],
+                            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "study_id,scenario,mean,sd,divisor,correction,degenerate\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, "")

@@ -12,7 +12,9 @@ import json
 import math
 import random
 import re
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +105,9 @@ def reference(text: str, fmt: str, correction: str, override, cutoff: int = 50):
             continue
         if sid in seen:
             err.append(f"error: line {line}: duplicate study_id {sid!r}")
+            continue
+        if any(c.strip() for c in row[len(header):]):
+            err.append(f"error: line {line} ({shown}): row has {len(row)} cells, header has {len(header)}")
             continue
         try:
             summary = reference_summary(cell)
@@ -502,6 +507,59 @@ def test_header_in_another_order(capsys, monkeypatch, tmp_path, header, fmt):
     assert run(capsys, "estimate", str(path), "--format", fmt) == (0, *expected)
 
 
+# The last line of the first block at CHUNK_ROWS = 7, each a reason for
+# that block to go through ``csv.reader``, and whether it stops the run.
+_LONG = "0" * 70_000 + "4"
+
+
+@pytest.mark.parametrize("last, fatal", [
+    ('"q,\nr",10,0,,4,,10\n', None),  # a quoted comma and line break, read on past the block
+    ("q,10,0,,4,,10\r\n", None),
+    ("q\0,10,0,,4,,10\n", None if sys.version_info >= (3, 11) else "line contains NUL"),
+    ("q,10,0,,4,,10", None),  # the end of the file
+    ("\n", None),  # the chunk takes one more row from the next block
+    ("q,10,0\n", None),
+    ("q,10,0,,4,,10, \n", None),
+    ("q,10,0,,4,,10,x\n", None),
+    ("q\udcff,10,0,,4,,10\n", "'utf-8' codec can't decode byte 0xff"),
+    (f"q,10,{'0' * 131_073},,4,,10\n", "field larger than field limit (131072)"),
+    (f"q{_LONG},10,{_LONG},,{_LONG},,10\n", None),  # a line over the limit, its fields under it
+], ids=["quote", "crlf", "nul", "no-final-newline", "blank", "short", "blank-extra-cell",
+        "extra-cell", "bad-byte", "field-over-limit", "line-over-limit"])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_each_fallback_trigger_matches_the_reference(capsys, monkeypatch, tmp_path, fmt, last, fatal):
+    plain = [f"p{i},{10 + i},0,,{i},,10\n" for i in range(11)]
+    before = ",".join(HEADER) + "\n" + "".join(plain[:6])
+    text = before + last + ("".join(plain[6:]) if last.endswith("\n") else "")
+    path = tmp_path / "trigger.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+    if fatal is None:
+        expected = (0, *reference(text, fmt, "first", None))
+    else:
+        out, err = reference(before, fmt, "first", None)
+        expected = (2, out, err + f"error: {path}: line 8: {fatal}\n")
+    assert run(capsys, "estimate", str(path), "--format", fmt) == expected
+
+
+def test_lone_carriage_return_ends_a_line(capsys, tmp_path):
+    # A block whose lines all end in \n is not yet one to cut at commas.
+    text = ",".join(HEADER) + "\na,10,0,,4,,10\rb,12,0,,4,,10\n"
+    path = tmp_path / "cr.csv"
+    path.write_bytes(text.encode())
+    assert run(capsys, "estimate", str(path)) == (0, *reference(text, "csv", "first", None))
+
+
+def test_plain_input_sends_only_the_header_through_csv_reader(capsys, monkeypatch):
+    path = Path(__file__).parent / "golden" / "estimate-csv.csv"
+    expected = (0, *reference(path.read_text(), "csv", "first", None))
+    read = []  # the lines that reach csv.reader
+    reader = csv.reader
+    monkeypatch.setattr(cli.csv, "reader", lambda lines: reader(read.append(x) or x for x in lines))
+    assert run(capsys, "estimate", str(path)) == expected
+    assert read == [",".join(HEADER) + "\n"]
+
+
 def test_divisors_evaluated_once_per_distinct_n(capsys, monkeypatch, mixed_file):
     from summarysd import estimators
 
@@ -630,18 +688,23 @@ _VALID = st.builds(
 )
 
 
-@given(st.lists(st.tuples(_ID, st.one_of(st.lists(_CELL, min_size=6, max_size=6), _VALID)),
+# Rows of 6 to 8 cells under a header of 7.  Lines end in \n, so that
+# blocks with no quoted, short or long row are cut at commas, or in
+# \r\n, so that every block goes through ``csv.reader``; chunks of 2 or
+# 3 rows mix the two ways in one file.
+@given(st.lists(st.tuples(_ID, st.one_of(st.lists(_CELL, min_size=5, max_size=7), _VALID)),
                 min_size=1, max_size=12),
-       st.sampled_from(FORMATS), st.sampled_from(CORRECTIONS), st.sampled_from(OVERRIDES))
+       st.sampled_from(FORMATS), st.sampled_from(CORRECTIONS), st.sampled_from(OVERRIDES),
+       st.sampled_from(["\n", "\r\n"]), st.sampled_from([2, 3, 1024]))
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_arbitrary_cells_one_outcome_per_row(tmp_path, capsys, rows, fmt, correction, override):
+def test_arbitrary_cells_one_outcome_per_row(
+    tmp_path, capsys, monkeypatch, rows, fmt, correction, override, line_end, chunk_rows
+):
     path = tmp_path / "fuzz.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HEADER)
-        writer.writerows([sid, *cells] for sid, cells in rows)
-    with open(path, newline="") as fh:
-        text = fh.read()
+    table = [HEADER, *([sid, *cells] for sid, cells in rows)]
+    text = "".join(csv_line(row, "csv") + line_end for row in table)
+    path.write_text(text, newline="")
+    monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
     argv = ["estimate", str(path), "--format", fmt, "--correction", correction]
     if override:
         argv += ["--scenario", override]
