@@ -78,28 +78,28 @@ def _check_cutoff(cutoff: int, order: CorrectionOrder) -> None:
 
 def _parse_cell(col: str, raw: str):
     """One cell of column ``col``: n as an int, a value as a float (NaN
-    if the cell is empty).  A ValueError says why the cell is not one."""
+    if the cell is empty).  A ValueError says why the cell is not one.
+    A cell holding ``_`` is not one: ``int`` and ``float`` read it as a
+    digit separator, as in Python source, but no CSV convention does."""
     raw = raw.strip()
-    if col == "n":
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError(f"n={raw!r} is not an integer") from None
-        if not -N_LIMIT <= n < N_LIMIT:
-            raise ValueError(f"n={raw!r} is out of range")
-        return n
-    if not raw:
+    if col != "n" and not raw:
         return math.nan
     try:
-        x = float(raw)
+        if "_" in raw:
+            raise ValueError
+        x = int(raw) if col == "n" else float(raw)
     except ValueError:
-        raise ValueError(f"{col}={raw!r} is not a number") from None
-    if not math.isfinite(x):
+        noun = "an integer" if col == "n" else "a number"
+        raise ValueError(f"{col}={raw!r} is not {noun}") from None
+    if col == "n":
+        if not -N_LIMIT <= x < N_LIMIT:
+            raise ValueError(f"n={raw!r} is out of range")
+    elif not math.isfinite(x):
         raise ValueError(f"{col}={raw!r} is not a finite number")
     return x
 
 
-def _parse_column(col: str, cells) -> tuple[np.ndarray, dict[int, str]]:
+def _parse_column(col: str, cells, underscores: bool) -> tuple[np.ndarray, dict[int, str]]:
     """A column of a chunk read whole, with ``int`` (n, as int64) or
     ``float`` (a value, NaN for an empty cell), and its cells that do not
     parse (row -> reason).
@@ -107,9 +107,12 @@ def _parse_column(col: str, cells) -> tuple[np.ndarray, dict[int, str]]:
     Two kinds of cell go through ``_parse_cell``, which gives the reason:
     a cell that reads infinite or NaN, and every cell of a column whose
     whole read raises (on a word, a whitespace-only cell or an n beyond
-    int64, say).
+    int64, say) or that holds a ``_``.  ``underscores`` False says that
+    no cell holds one.
     """
     try:
+        if underscores and "_" in "".join(cells):
+            raise ValueError
         if col == "n":
             return np.array(list(map(int, cells)), dtype=np.int64), {}
         nan = math.nan
@@ -131,38 +134,32 @@ def _read_rows(reader, limit: int, offset: int = 0):
     """Read up to ``limit`` rows of ``reader``, which starts after line
     ``offset`` of the file; blank lines are skipped.
 
-    Returns the rows, the physical line number of each, their cells
-    transposed into columns (short rows padded with empty cells), and
-    why the reading stopped early (``line N: reason``: a ``csv.Error``
-    or a byte that is not UTF-8, the rows from that one on left out), or
-    None.  Input is decoded with ``surrogateescape``, which turns a byte
-    that is not UTF-8 into a lone surrogate, the only text that does not
-    encode back to UTF-8; one check covers the whole read.
+    Returns the rows, the physical line number of each (its last, for
+    a row with a quoted line break), and why the reading stopped early
+    (``line N: reason``: a ``csv.Error`` or a byte that is not UTF-8,
+    the rows from that one on left out), or None.  Input is decoded with
+    ``surrogateescape``, which turns a byte that is not UTF-8 into a
+    lone surrogate, the only text that does not encode back to UTF-8.
     """
     rows, lines, error = [], [], None
     try:
         for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(offset + reader.line_num)
-                if len(rows) == limit:
-                    break
-    except csv.Error as exc:
-        error = f"line {offset + reader.line_num}: {exc}"
-    columns = list(zip_longest(*rows, fillvalue=""))
-    try:
-        "".join(map("".join, columns)).encode()
-    except UnicodeEncodeError:
-        for bad, row in enumerate(rows):
+            if not row:
+                continue
+            line = offset + reader.line_num
             try:
                 "".join(row).encode()
             except UnicodeEncodeError as exc:
                 byte = ord(exc.object[exc.start]) - 0xDC00
-                error = f"line {lines[bad]}: 'utf-8' codec can't decode byte 0x{byte:02x}"
+                error = f"line {line}: 'utf-8' codec can't decode byte 0x{byte:02x}"
                 break
-        rows, lines = rows[:bad], lines[:bad]
-        columns = [col[:bad] for col in columns]
-    return rows, lines, columns, error
+            rows.append(row)
+            lines.append(line)
+            if len(rows) == limit:
+                break
+    except csv.Error as exc:
+        error = f"line {offset + reader.line_num}: {exc}"
+    return rows, lines, error
 
 
 def _splits_plainly(block: list[str], text: str, width: int) -> bool:
@@ -199,7 +196,8 @@ def _read_chunk(fh, line: int, width: int, picks: list[int | None]):
 
     Returns the physical line number and study id of each row, the
     rows whose cells do not parse (index -> reason), the n and value
-    columns (placeholders for those rows), and why the reading stopped
+    columns (n = 0 and NaN values in those rows, which the estimator
+    then marks invalid), and why the reading stopped
     early, as :func:`_read_rows` gives it.  Cells missing from a short
     row are empty.  A row with a cell past the header's width that is
     not blank is an error, whose reason comes before those of its cells.
@@ -211,8 +209,11 @@ def _read_chunk(fh, line: int, width: int, picks: list[int | None]):
         cells = text.replace("\n", ",").split(",")  # ends in one empty cell
         columns = [cells[j:-1:width] for j in range(width)]
         lines = range(line + 1, line + 1 + len(block))
+        underscores = "_" in text
     else:
-        rows, lines, columns, error = _read_rows(csv.reader(chain(block, fh)), CHUNK_ROWS, line)
+        rows, lines, error = _read_rows(csv.reader(chain(block, fh)), CHUNK_ROWS, line)
+        columns = list(zip_longest(*rows, fillvalue=""))
+        underscores = True
         if len(columns) > width:
             for i, row in enumerate(rows):
                 if any(map(str.strip, row[width:])):
@@ -221,12 +222,12 @@ def _read_chunk(fh, line: int, width: int, picks: list[int | None]):
     study_ids, *cells = (empty if j is None or j >= len(columns) else columns[j] for j in picks)
     parsed = []
     for col, col_cells in zip(INPUT_COLUMNS[1:], cells):
-        array, found = _parse_column(col, col_cells)
+        array, found = _parse_column(col, col_cells, underscores)
         parsed.append(array)
         for i, reason in found.items():  # a row's first failing cell gives its reason
             problems.setdefault(i, reason)
     n, values = parsed[0], np.array(parsed[1:])
-    n[list(problems)], values[:, list(problems)] = 2, math.nan
+    n[list(problems)], values[:, list(problems)] = 0, math.nan
     return lines, list(map(str.strip, study_ids)), problems, n, values, error
 
 
@@ -269,12 +270,11 @@ def _chunk_output(lines, ids, problems, est, seen_ids, fmt, template) -> tuple[s
     errors = {
         i: f" ({_shown_id(ids[i])}): {reason}" for i, reason in {**est.errors, **problems}.items()
     }
-    # Rows that are not a valid summary are rejected before their id
-    # counts as seen; rows with no estimate count.
-    rejected = est.invalid.copy()
-    rejected[list(problems)] = True
+    # Rows that are not a valid summary, which include the rows with a
+    # problem (read as n = 0), are rejected before their id counts as
+    # seen; rows with no estimate count.
     if "" in ids or len(set(ids)) < len(ids) or not seen_ids.isdisjoint(ids):
-        for i, (study_id, skip) in enumerate(zip(ids, rejected.tolist())):
+        for i, (study_id, skip) in enumerate(zip(ids, est.invalid.tolist())):
             if not study_id:
                 errors[i] = ": empty study_id"
             elif study_id in seen_ids:
@@ -282,7 +282,7 @@ def _chunk_output(lines, ids, problems, est, seen_ids, fmt, template) -> tuple[s
             elif not skip:
                 seen_ids.add(study_id)
     else:
-        seen_ids.update(compress(ids, (~rejected).tolist()))
+        seen_ids.update(compress(ids, (~est.invalid).tolist()))
     keep = np.ones(len(ids), dtype=bool)
     keep[list(errors)] = False
     rows = zip(
@@ -310,7 +310,7 @@ def cmd_estimate(args) -> int:
         raise FatalCliError(f"cannot read {args.input}: {exc}")
     reader = csv.reader(fh)
     with fh:
-        rows, _, _, error = _read_rows(reader, 1)
+        rows, _, error = _read_rows(reader, 1)
         if error is not None:
             raise FatalCliError(f"{args.input}: {error}")
         if not rows:
@@ -501,11 +501,15 @@ def main(argv: list[str] | None = None) -> int:
     except FatalCliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader of stdout has gone, as under `| head`.  Python
+    except OSError as exc:
+        # stdout cannot be written: its reader has gone, as under
+        # `| head`, which ends quietly, or its device is full.  Python
         # flushes stdout again at exit, so point it at devnull first.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        if isinstance(exc, BrokenPipeError):
+            return 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -253,7 +253,10 @@ def _divisor_column(kind, n, need, order, cutoff, memo, errors) -> np.ndarray:
     array indexed by n.  Rows whose n has no divisor get an error."""
     out = np.ones(n.shape)
     distinct, inverse = np.unique(n[need], return_inverse=True)
-    known = memo.setdefault((kind.name, order, cutoff), np.full(_MEMO_LIMIT, math.nan))
+    key = (kind.name, order, cutoff)
+    if key not in memo:
+        memo[key] = np.full(_MEMO_LIMIT, math.nan)
+    known = memo[key]
     kept = distinct[:np.searchsorted(distinct, known.size)]  # sorted, so a prefix
     divisors = np.full(distinct.shape, math.nan)
     divisors[:kept.size] = known[kept]

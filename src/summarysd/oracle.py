@@ -247,17 +247,17 @@ def expected_iqr(n: int, cfg: McConfig = McConfig()) -> tuple[float, float]:
     chunk_size, convention, n): each chunk draws from its own stream,
     spawned in schedule order from a seed sequence keyed by the
     convention and n, so the result cannot depend on execution
-    parallelism, and no two (convention, n) share their draws.
+    parallelism, and no two (convention, n) share their draws.  Chunk i
+    draws from the stream ``SeedSequence.spawn`` would give as its i-th.
     """
     if n < 2:
         raise ValueError(f"expected IQR defined for n >= 2, got {n}")
-    full, rem = divmod(cfg.replications, cfg.chunk_size)
-    schedule = [cfg.chunk_size] * full + ([rem] if rem else [])
     key = (list(QuantileConvention).index(cfg.quantile_convention), n)
-    streams = np.random.SeedSequence(cfg.seed, spawn_key=key).spawn(len(schedule))
     total = 0.0
     total_sq = 0.0
-    for rows, ss in zip(schedule, streams):
+    for i, start in enumerate(range(0, cfg.replications, cfg.chunk_size)):
+        ss = np.random.SeedSequence(cfg.seed, spawn_key=(*key, i))
+        rows = min(cfg.chunk_size, cfg.replications - start)
         iqr = _chunk_iqr(np.random.Generator(np.random.PCG64(ss)), n,
                          rows, cfg.quantile_convention)
         total += float(iqr.sum())

@@ -147,7 +147,13 @@ class TestEstimate:
         (b"study_id,n,m\xe9n,median,max\na,10,0,4,10\n", 1, "0xe9"),
         # In a cell past the header's width, after a good row.
         (b"study_id,n,min,median,max\na,10,0,4,10\nb,10,0,4,10,\xff\nc,10,0,4,10\n", 3, "0xff"),
-    ], ids=["header", "past-header-width"])
+        # On the first line of a quoted id that runs over two: the row's
+        # last line is named.
+        (b'study_id,n,min,median,max\na,10,0,4,10\n"b\xff\nb",10,0,4,10\nc,10,0,4,10\n', 4, "0xff"),
+        # Before a field over the field size limit in the same block.
+        (b"study_id,n,min,median,max\na,10,0,4,10\nb\xfe,10,0,4,10\nc,10,0,4,"
+         + b"1" * 131_073 + b"\n", 3, "0xfe"),
+    ], ids=["header", "past-header-width", "quoted-line-break", "before-long-field"])
     def test_first_undecodable_line_is_named(self, capsys, tmp_path, content, line, byte):
         path = tmp_path / "bad.csv"
         path.write_bytes(content)
@@ -187,6 +193,20 @@ class TestEstimate:
         assert code == 0
         assert len(out.strip().splitlines()) == 2
         assert "duplicate" in err
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["split", "csv-reader"])
+    def test_underscore_in_a_number_is_row_error(self, capsys, tmp_path, newline):
+        # Python reads 1_5 as 15; a CSV cell holding it is no number.
+        path = tmp_path / "underscore.csv"
+        rows = ["study_id,n,min,median,max", "a_1,10,0,4,1_5", "b_2,1_0,0,4,15", "c_3,10,0,4,15"]
+        path.write_text(newline.join(rows) + newline, newline="")
+        code, out, err = run(capsys, "estimate", str(path))
+        assert code == 0
+        assert [row.split(",")[0] for row in out.splitlines()] == ["study_id", "c_3"]
+        assert err == (
+            "error: line 2 (a_1): max='1_5' is not a number\n"
+            "error: line 3 (b_2): n='1_0' is not an integer\n"
+        )
 
     def test_cell_past_the_header_is_row_error(self, capsys, tmp_path):
         path = tmp_path / "long.csv"
@@ -432,3 +452,26 @@ def test_closed_stdout_ends_quietly(tmp_path):
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["estimate", "big.csv"],
+    ["tables"],
+    ["refit", "--kind", "delta"],
+    ["oracle", "--range", "2:3", "--reps", "10000"],
+], ids=lambda argv: argv[0])
+def test_stdout_that_cannot_be_written_is_one_error(tmp_path, argv):
+    # A write to /dev/full fails with ENOSPC, not with a closed pipe.
+    import summarysd
+
+    rows = "".join(f"s{i},10,0,4,10\n" for i in range(20_000))
+    (tmp_path / "big.csv").write_text("study_id,n,min,median,max\n" + rows)
+    src = os.path.dirname(os.path.dirname(summarysd.__file__))
+    with open("/dev/full", "w") as full:
+        res = subprocess.run([sys.executable, "-m", "summarysd.cli", *argv], cwd=tmp_path,
+                             env=dict(os.environ, PYTHONPATH=src), stdout=full,
+                             stderr=subprocess.PIPE, text=True, timeout=60)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: [Errno 28] ")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr

@@ -144,9 +144,12 @@ def csv_line(fields, fmt: str) -> str:
 
 def reference_summary(cell: dict) -> StudySummary:
     """The row as a StudySummary, checked here and not by the code under
-    test: n >= 2, then (values being finite once parsed) their order."""
+    test: n >= 2, then (values being finite once parsed) their order.  A
+    cell holding ``_`` is not a number, though Python would read 1_0."""
     n_raw = cell.get("n", "").strip()
     try:
+        if "_" in n_raw:
+            raise ValueError
         n = int(n_raw)
     except ValueError:
         raise ValueError(f"n={n_raw!r} is not an integer")
@@ -159,6 +162,8 @@ def reference_summary(cell: dict) -> StudySummary:
             vals.append(None)
             continue
         try:
+            if "_" in raw:
+                raise ValueError
             x = float(raw)
         except ValueError:
             raise ValueError(f"{col}={raw!r} is not a number")
@@ -383,7 +388,8 @@ def calls(monkeypatch):
     ("min", "NaN", "columns", 1),
     ("max", "-inf", "columns", 1),
     ("median", "1e400", "columns", 1),
-    ("max", " 1_0 ", "columns", 0),  # float() reads it as it stands
+    ("max", " 1_0 ", "rows", 6),  # float() would read it as 10
+    ("n", "1_5", "rows", 6),
     ("n", " 7 ", "columns", 0),
     ("q1", "  ", "rows", 6),  # empty only once stripped
     ("median", "zz", "rows", 6),

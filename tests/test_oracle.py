@@ -146,6 +146,17 @@ class TestExpectedIqr:
         assert a != b
         assert a[0] == pytest.approx(b[0], abs=5 * (a[1] + b[1]))
 
+    @pytest.mark.parametrize("chunk_size, conv, n, expected", [
+        # Two chunks.
+        (10_000, QuantileConvention.QUARTER_GROUPS, 5, (1.2609321984085498, 0.002324452202202003)),
+        # Three, the last one short: 7000, 7000 and 6000 rows.
+        (7_000, QuantileConvention.TYPE7_INTERP, 10, (1.1724350744535825, 0.002983039285715786)),
+        (7_000, QuantileConvention.QUARTER_GROUPS, 25, (1.3294075571400041, 0.0011004950311261786)),
+    ])
+    def test_streams_of_several_chunks_are_pinned(self, chunk_size, conv, n, expected):
+        cfg = McConfig(replications=20_000, seed=3, chunk_size=chunk_size, quantile_convention=conv)
+        assert expected_iqr(n, cfg) == expected
+
     def test_each_convention_and_n_draws_its_own_stream(self, monkeypatch):
         def first_draws(n, conv):
             """The first draw of each chunk's stream."""
