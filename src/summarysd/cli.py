@@ -416,10 +416,9 @@ def cmd_refit(args) -> int:
 def cmd_oracle(args) -> int:
     from . import oracle
 
-    n_min, n_max = _parse_range(args.range, lo=2)
-    if n_max > tables.N_MAX:
-        raise FatalCliError(f"oracle range limited to n <= {tables.N_MAX}")
+    n_min, n_max = _parse_range(args.range)
     try:
+        oracle.check_range(n_min, n_max)
         cfg_mc = oracle.McConfig(replications=args.reps, seed=args.seed, chunk_size=args.chunk_size)
     except ValueError as exc:
         raise FatalCliError(str(exc))

@@ -197,8 +197,8 @@ class ColumnEstimates:
 
 def _invalid_rows(n: np.ndarray, values: np.ndarray) -> dict[int, str]:
     """Rows that are not a valid summary, with the reason, NaN marking
-    an absent value: an n column of bools, floats or complex numbers,
-    then n >= 2**63, then n < 2, then a value that is not finite, then
+    an absent value: an n that is a bool or not an integer, then
+    n >= 2**63, then n < 2, then a value that is not finite, then
     values out of order.  The one validity check of a study,
     :class:`StudySummary` included."""
     unordered = np.zeros(n.shape, dtype=bool)
@@ -207,14 +207,16 @@ def _invalid_rows(n: np.ndarray, values: np.ndarray) -> dict[int, str]:
         unordered |= v < highest
         highest = np.fmax(highest, v)
     problems: dict[int, str] = {}
-    if n.dtype.kind in "bfc":
+    if n.dtype.kind not in "iu":  # each element is looked at, and a non-integer reads as 2
+        n = n.astype(object)
         for r, x in enumerate(n.tolist()):
-            problems[r] = f"sample size must be an integer, got {x!r}"
-    else:
-        for r in np.flatnonzero(n >= N_LIMIT).tolist():
-            problems[r] = f"sample size must be < 2**63, got {n[r]}"
-        for r in np.flatnonzero(n < 2).tolist():
-            problems[r] = f"sample size must be >= 2, got {n[r]}"
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                problems[r] = f"sample size must be an integer, got {x!r}"
+                n[r] = 2
+    for r in np.flatnonzero(n >= N_LIMIT).tolist():
+        problems[r] = f"sample size must be < 2**63, got {n[r]}"
+    for r in np.flatnonzero(n < 2).tolist():
+        problems[r] = f"sample size must be >= 2, got {n[r]}"
     for mask, msg in ((np.isinf(values).any(axis=0), _NONFINITE), (unordered, _UNORDERED)):
         for r in np.flatnonzero(mask).tolist():
             problems.setdefault(r, msg)
@@ -296,9 +298,14 @@ def estimate_columns(
     C1, the IQR for C3, either for C2) is exactly zero, and its SD is 0
     when every such spread is.  Every other row also keeps going, with
     a reason in ``errors``: any integer n, a Python int beyond 64 bits
-    included, is either estimated or gets its row error.
+    included, is either estimated or gets its row error.  An ``n`` that
+    is not an array and that ``np.asarray`` would not make an integer
+    column keeps each element's own type, so in ``[10, "12"]`` or
+    ``[10, 10.5]`` only the second row is an error.
     """
-    n = np.asarray(n)
+    raw, n = n, np.asarray(n)
+    if n.dtype.kind not in "iu" and not isinstance(raw, np.ndarray):
+        n = np.array(raw, dtype=object)
     values = np.asarray(values, dtype=float)
     if n.ndim != 1 or values.shape != (5, n.size):
         raise ValueError(f"n and values must have shapes (k,) and (5, k), "

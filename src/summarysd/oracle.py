@@ -55,6 +55,7 @@ __all__ = [
     "QuadratureError",
     "expected_range",
     "expected_iqr",
+    "check_range",
     "regenerate_tables",
     "RegenerationResult",
 ]
@@ -250,6 +251,8 @@ def expected_iqr(n: int, cfg: McConfig = McConfig()) -> tuple[float, float]:
     parallelism, and no two (convention, n) share their draws.  Chunk i
     draws from the stream ``SeedSequence.spawn`` would give as its i-th.
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"expected IQR needs an integer n, got {n!r}")
     if n < 2:
         raise ValueError(f"expected IQR defined for n >= 2, got {n}")
     key = (list(QuantileConvention).index(cfg.quantile_convention), n)
@@ -322,6 +325,14 @@ class RegenerationResult:
         return lines
 
 
+def check_range(n_min: int, n_max: int) -> None:
+    """Raise ValueError unless 2 <= n_min <= n_max <= ``tables.N_MAX``,
+    the range :func:`regenerate_tables` can compare with the tables."""
+    if not 2 <= n_min <= n_max <= tables.N_MAX:
+        raise ValueError(f"oracle range limited to 2 <= n_min <= n_max <= {tables.N_MAX}, "
+                         f"got {n_min} and {n_max}")
+
+
 def regenerate_tables(
     cfg_mc: McConfig = McConfig(),
     n_min: int = 2,
@@ -334,8 +345,12 @@ def regenerate_tables(
     ``which`` selects "xi", "eta" or "both".  xi is the range quadrature
     at the default :class:`QuadratureConfig`.  For eta, every requested
     convention is run and the one with the smallest maximum deviation
-    from the fixture table is flagged as best.
+    from the fixture table is flagged as best.  Raises ValueError for any
+    other ``which``, and :func:`check_range` checks the range.
     """
+    if which not in ("xi", "eta", "both"):
+        raise ValueError(f"which must be 'xi', 'eta' or 'both', got {which!r}")
+    check_range(n_min, n_max)
     ns = list(range(n_min, n_max + 1))
     result = RegenerationResult(n_values=ns)
     if which in ("xi", "both"):

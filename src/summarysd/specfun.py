@@ -152,12 +152,11 @@ def _poly(coeffs, r: np.ndarray) -> np.ndarray:
 def _ppnd16(p: np.ndarray, log) -> np.ndarray:
     """PPND16 at every element of ``p`` (in (0, 1)); ``log`` maps an
     array to its logarithms.  The central branch (85% of the unit
-    interval) is evaluated for every element and the tails are patched
-    afterwards, which is much faster than masked evaluation.  The
-    central branch runs in place in three arrays the size of ``p``
-    (q = p - 0.5 is formed twice, the second time into r's buffer once
-    r is spent); each element still sees ``q * A(r) / B(r)`` in the
-    scalar order."""
+    interval) runs for every element, in place in three arrays the size
+    of ``p`` (q = p - 0.5 is formed again in r's buffer once r is
+    spent), and the tails are patched afterwards: every tail element
+    takes the near form, which the far form replaces where r > 5.  Each
+    element sees the scalar order of operations."""
     if p.ndim == 0:  # a ufunc gives a scalar here, which cannot be written in place
         return _ppnd16(p.reshape(1), log).reshape(())
     r = p - 0.5
@@ -169,19 +168,15 @@ def _ppnd16(p: np.ndarray, log) -> np.ndarray:
     out *= q
     out /= den
 
-    tail = np.abs(q, out=den) > 0.425
-    if tail.any():
-        qt = q[tail]
-        pt = p[tail]
-        r = np.sqrt(-log(np.where(qt < 0.0, pt, 1.0 - pt)))
-        val = np.empty_like(r)
-        near = r <= 5.0
-        rn = r[near] - 1.6
-        val[near] = _poly(_C, rn) / _poly(_D, rn)
-        far = ~near
+    tail = np.flatnonzero(np.abs(q, out=den) > 0.425)
+    if tail.size:
+        pt = p.take(tail)
+        r = np.sqrt(-log(np.minimum(pt, 1.0 - pt)))
+        val = _poly(_C, r - 1.6) / _poly(_D, r - 1.6)
+        far = r > 5.0
         rf = r[far] - 5.0
         val[far] = _poly(_E, rf) / _poly(_F, rf)
-        out[tail] = np.where(qt < 0.0, -val, val)
+        np.put(out, tail, np.copysign(val, q.take(tail)))
     return out
 
 

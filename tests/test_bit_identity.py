@@ -107,3 +107,20 @@ def test_monte_carlo_quantile(probabilities):
     # and libm's log differ.
     p = np.concatenate([probabilities, (NS - 0.375) / (NS + 0.25)])
     assert np.array_equal(bits(std_normal_quantile_vec(p)), bits(ref.std_normal_quantile_vec(p)))
+
+
+SWITCHES = (0.075, 0.925, float(np.exp(-25.0)), 1.0 - float(np.exp(-25.0)))
+
+
+@pytest.mark.parametrize("p", [
+    *(x for s in SWITCHES for x in (np.nextafter(s, 0.0), s, np.nextafter(s, 1.0))),
+    1.0 - 2.0 ** -53,
+    5e-324,
+])
+def test_quantiles_at_branch_switches(p):
+    """PPND16 changes form at |p - 0.5| = 0.425 and at r = 5, where
+    -log(p) = 25; seeded p need not land beside either switch."""
+    p = float(p)
+    assert bits(std_normal_quantile(p)) == bits(ref.std_normal_quantile(p))
+    p = np.array([p])
+    assert np.array_equal(bits(std_normal_quantile_vec(p)), bits(ref.std_normal_quantile_vec(p)))

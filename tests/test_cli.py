@@ -397,6 +397,10 @@ def test_bad_cutoff_is_fatal(capsys, sample_file, command, argv, message):
     pytest.param(["oracle", "--chunk-size", "0"], "chunk size must be positive", id="chunk-size"),
     pytest.param(["oracle", "--which", "eta", "--range", "2:2", "--reps", "10000", "--seed", "-1",
                   "--report", "{dir}.tsv"], "seed must be non-negative", id="seed"),
+    pytest.param(["oracle", "--range", "1:5", "--report", "{dir}.tsv"],
+                 "oracle range limited to 2 <= n_min <= n_max <= 50, got 1 and 5", id="range-below-2"),
+    pytest.param(["oracle", "--range", "2:51", "--report", "{dir}.tsv"],
+                 "oracle range limited to 2 <= n_min <= n_max <= 50, got 2 and 51", id="range-above-50"),
     pytest.param(["oracle", "--which", "xi", "--range", "2:2", "--report", "{dir}/r.tsv"],
                  "cannot write {dir}/r.tsv: [Errno 2] No such file or directory", id="report"),
     pytest.param(["refit", "--kind", "delta", "--emit-series", "{dir}/s.tsv"],

@@ -638,7 +638,12 @@ def test_columns_validate_like_study_summary():
     (np.array([2**63], dtype=np.uint64), "sample size must be < 2**63, got 9223372036854775808"),
     (np.array([-10**30], dtype=object), "sample size must be >= 2, got -1000000000000000000000000000000"),
     (np.array([2**64], dtype=object), "sample size must be < 2**63, got 18446744073709551616"),
-], ids=["float", "integral-float", "bool", "uint64-2**63", "object", "object-2**64"])
+    (np.array([10.5], dtype=object), "sample size must be an integer, got 10.5"),
+    (np.array([True], dtype=object), "sample size must be an integer, got True"),
+    (np.array([None], dtype=object), "sample size must be an integer, got None"),
+    (np.array(["10"]), "sample size must be an integer, got '10'"),
+], ids=["float", "integral-float", "bool", "uint64-2**63", "object", "object-2**64",
+        "object-float", "object-bool", "object-None", "str"])
 def test_columns_reject_the_n_study_summary_rejects(n, reason):
     values = np.array([[0.0], [np.nan], [4.0], [np.nan], [10.0]])
     est = estimate_columns(n, values)
@@ -665,6 +670,22 @@ def test_n_beyond_int64_leaves_the_other_rows_estimated():
     alone = estimate_columns([12], values[:, :1])
     assert est.errors == {1: f"sample size must be < 2**63, got {2**64}"}
     assert (est.mean[0], est.sd[0], est.divisor[0]) == (alone.mean[0], alone.sd[0], alone.divisor[0])
+
+
+@pytest.mark.parametrize("n, errors", [
+    ([10.5, 2**70], {0: "sample size must be an integer, got 10.5",
+                     1: f"sample size must be < 2**63, got {2**70}"}),
+    ([12, None], {1: "sample size must be an integer, got None"}),
+    ([10, "12"], {1: "sample size must be an integer, got '12'"}),
+    ([10, 10.5], {1: "sample size must be an integer, got 10.5"}),
+], ids=["float-and-2**70", "None", "str", "int-and-float"])
+def test_n_that_is_not_an_integer_is_its_row_error(n, errors):
+    values = np.array([[0.0] * 2, [np.nan] * 2, [4.0] * 2, [np.nan] * 2, [10.0] * 2])
+    est = estimate_columns(n, values)
+    assert est.errors == errors
+    assert est.invalid.tolist() == [r in errors for r in range(2)]
+    for r in set(range(2)) - set(errors):  # estimated as if it were alone
+        assert est.sd[r] == estimate_columns(np.array([n[r]]), values[:, :1]).sd[0]
 
 
 # Cells: anything on one line, plus the numbers and near-numbers that

@@ -1,6 +1,7 @@
 """Quadrature and Monte Carlo recomputation of the divisor tables."""
 
 import math
+import re
 from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -242,6 +243,15 @@ class TestExpectedIqr:
         assert rng.shapes == [b - a for a, b in zip(ranks, ranks[1:])]
         assert sum(rng.shapes) == m + 1
 
+    @pytest.mark.parametrize("n", [5.5, 5.0, True, "5"])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match=rf"^expected IQR needs an integer n, got {re.escape(repr(n))}$"):
+            expected_iqr(n, McConfig(replications=10_000))
+
+    def test_n_below_2_keeps_its_reason(self):
+        with pytest.raises(ValueError, match=r"^expected IQR defined for n >= 2, got 1$"):
+            expected_iqr(1, McConfig(replications=10_000))
+
     def test_replication_floor(self):
         with pytest.raises(ValueError):
             McConfig(replications=5_000)
@@ -289,6 +299,15 @@ class TestRegeneration:
         assert set(result.xi) == {2, 3}
         # eta column stays blank in fixture format
         assert result.fixture_lines()[0].endswith("\t")
+
+    def test_which_outside_the_three_choices_raises(self):
+        with pytest.raises(ValueError, match=r"^which must be 'xi', 'eta' or 'both', got 'bogus'$"):
+            regenerate_tables(n_min=2, n_max=3, which="bogus")
+
+    @pytest.mark.parametrize("n_min, n_max", [(5, 3), (2, tables.N_MAX + 1), (1, 3)])
+    def test_range_outside_the_table_raises(self, n_min, n_max):
+        with pytest.raises(ValueError, match=rf"<= {tables.N_MAX}, got {n_min} and {n_max}$"):
+            regenerate_tables(n_min=n_min, n_max=n_max, which="eta")
 
 
 def round_half_up(value: float, *places: int) -> float:
