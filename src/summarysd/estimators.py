@@ -238,12 +238,10 @@ def _scenario_codes(
     return np.full(c1.shape, SCENARIOS.index(override)), ~fits, reason
 
 
-def _means(codes: np.ndarray, n: np.ndarray, values: np.ndarray, simple_c1: bool = False):
+def _means(codes: np.ndarray, n: np.ndarray, values: np.ndarray):
     """The C1/C2/C3 mean formulas, chosen per row by scenario code."""
     a, q1, m, q3, b = values
-    c1 = (a + 2 * m + b) / 4.0
-    if not simple_c1:
-        c1 = c1 + (a - 2 * m + b) / (4.0 * n)
+    c1 = (a + 2 * m + b) / 4.0 + (a - 2 * m + b) / (4.0 * n)
     c2 = (a + 2 * q1 + 2 * m + 2 * q3 + b) / 8.0
     c3 = (q1 + m + q3) / 3.0
     return np.choose(codes, (c1, c2, c3))
@@ -344,24 +342,13 @@ def estimate_columns(
     return ColumnEstimates(codes, mean, sd, divisor, degenerate, errors, invalid)
 
 
-def estimate_mean(
-    summary: StudySummary,
-    scenario: Scenario | None = None,
-    simple_c1: bool = False,
-) -> float:
-    """Estimate the sample mean from the reported summaries.
-
-    C1 uses (a + 2m + b)/4 + (a - 2m + b)/(4n); set ``simple_c1`` to drop
-    the 1/(4n) term.  C2 uses (a + 2Q1 + 2m + 2Q3 + b)/8 and C3 uses
-    (Q1 + m + Q3)/3.  A mean beyond double precision raises ValueError,
-    as in :func:`estimate_moments`.
+def estimate_mean(summary: StudySummary, scenario: Scenario | None = None) -> float:
+    """Estimate the sample mean from the reported summaries: the ``mean``
+    of :func:`estimate_moments`, which raises ValueError for the same
+    studies.  C1 uses (a + 2m + b)/4 + (a - 2m + b)/(4n), C2
+    (a + 2Q1 + 2m + 2Q3 + b)/8 and C3 (Q1 + m + Q3)/3.
     """
-    code = SCENARIOS.index(summary.scenario(scenario))
-    with np.errstate(all="ignore"):
-        mean = float(_means(code, *summary.columns(), simple_c1)[0])
-    if not math.isfinite(mean):
-        raise ValueError(_OVERFLOW)
-    return mean
+    return estimate_moments(summary, scenario=scenario).mean
 
 
 def _reject(n: np.ndarray, bad: np.ndarray, reason: str) -> None:
@@ -374,14 +361,19 @@ def _range_position(n: np.ndarray) -> np.ndarray:
     return (n - 0.375) / (n + 0.25)
 
 
+def _not_finite_from_two(n: np.ndarray) -> np.ndarray:
+    """The n that are not a finite number >= 2, NaN included."""
+    return ~((n >= 2) & (n < math.inf))
+
+
 def _outside_second_order(n: np.ndarray) -> np.ndarray:
-    return (n < 3) | (n > PIECEWISE_CUTOFF)
+    return ~((3 <= n) & (n <= PIECEWISE_CUTOFF))
 
 
 @_elementwise
 def delta_hat(n: int | np.ndarray) -> float | np.ndarray:
     """Additive small-sample correction for the range divisor."""
-    _reject(n, n < 2, _CORRECTION_N_MIN)
+    _reject(n, _not_finite_from_two(n), _CORRECTION_N_MIN)
     return DELTA_A + DELTA_B * _libm(math.log, n)
 
 
@@ -396,7 +388,7 @@ def epsilon_hat(
         return _libm(math.exp, n / (EPSILON2_C0 + EPSILON2_C1 * c + EPSILON2_C2 * c * c))
     if order is not CorrectionOrder.FIRST:
         raise ValueError("epsilon correction order must be FIRST or SECOND")
-    _reject(n, n < 2, _CORRECTION_N_MIN)
+    _reject(n, _not_finite_from_two(n), _CORRECTION_N_MIN)
     return _libm(math.exp, n / (EPSILON_A + EPSILON_B * n))
 
 
@@ -424,7 +416,7 @@ def xi_hat(n: int | np.ndarray, cutoff: int = PIECEWISE_CUTOFF) -> float | np.nd
     Asymptotic form plus the log-linear correction for n <= cutoff; the
     asymptotic form alone above it.
     """
-    _reject(n, n < 2, _DIVISOR_N_MIN)
+    _reject(n, _not_finite_from_two(n), _DIVISOR_N_MIN)
     base = blom_range_divisor(n)
     small = n <= cutoff
     base[small] += delta_hat(n[small])
@@ -438,7 +430,7 @@ def eta_hat(
     cutoff: int = PIECEWISE_CUTOFF,
 ) -> float | np.ndarray:
     """Divisor turning an observed IQR into an SD estimate."""
-    _reject(n, n < 2, _DIVISOR_N_MIN)
+    _reject(n, _not_finite_from_two(n), _DIVISOR_N_MIN)
     base = blom_iqr_divisor(n)
     if order is not CorrectionOrder.NONE:
         small = n <= cutoff
@@ -528,7 +520,7 @@ def required_sample_size(sigma: float, delta: float, alpha: float, beta: float) 
         raise ValueError("delta must be nonzero")
     if not 0 < alpha < 1 or not 0 < beta < 1:
         raise ValueError("alpha and beta must lie in (0, 1)")
-    z2 = (std_normal_quantile(1.0 - alpha / 2.0) + std_normal_quantile(1.0 - beta)) ** 2
+    z2 = (std_normal_quantile(alpha / 2.0) + std_normal_quantile(beta)) ** 2
     underflow = min(sigma * sigma, delta * delta) < np.finfo(float).tiny
     bound = math.inf if underflow else 2.0 * sigma * sigma * z2 / (delta * delta)
     if not math.isfinite(bound):

@@ -105,6 +105,10 @@ class QuadratureConfig:
             raise ValueError("integration bound must be at least 8")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class McConfig:
     replications: int = 1_000_000
@@ -115,7 +119,7 @@ class McConfig:
     def __post_init__(self):
         for name in ("replications", "chunk_size", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replications < 10_000:
             raise ValueError("need at least 10^4 replications")
@@ -251,7 +255,7 @@ def expected_iqr(n: int, cfg: McConfig = McConfig()) -> tuple[float, float]:
     parallelism, and no two (convention, n) share their draws.  Chunk i
     draws from the stream ``SeedSequence.spawn`` would give as its i-th.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+    if not _is_int(n):
         raise ValueError(f"expected IQR needs an integer n, got {n!r}")
     if n < 2:
         raise ValueError(f"expected IQR defined for n >= 2, got {n}")
@@ -326,8 +330,11 @@ class RegenerationResult:
 
 
 def check_range(n_min: int, n_max: int) -> None:
-    """Raise ValueError unless 2 <= n_min <= n_max <= ``tables.N_MAX``,
+    """Raise ValueError unless integers 2 <= n_min <= n_max <= ``tables.N_MAX``,
     the range :func:`regenerate_tables` can compare with the tables."""
+    for name, value in (("n_min", n_min), ("n_max", n_max)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 2 <= n_min <= n_max <= tables.N_MAX:
         raise ValueError(f"oracle range limited to 2 <= n_min <= n_max <= {tables.N_MAX}, "
                          f"got {n_min} and {n_max}")

@@ -2,9 +2,11 @@
 with the SHA-256 of their stdout and stderr and their exit code.
 
 Run from the repository root as ``PYTHONPATH=src python tests/golden/regen.py``.
-``tests/test_golden.py`` runs every case again and compares.  A change
-that alters output on purpose regenerates the manifest and names the
-cases whose hashes moved.
+``tests/test_golden.py`` runs every case again and compares:
+``pytest tests/test_golden.py`` is the check that no case moved, and
+each failing test id is the argv of a case whose exit code or hashes
+moved.  A change that alters output on purpose regenerates the manifest
+and names the cases whose hashes moved.
 
 The input files are checked in, not generated, so that a new numpy
 ``Generator`` stream cannot change them:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from summarysd.estimators import (
     CorrectionOrder,
@@ -26,6 +27,7 @@ from summarysd.estimators import (
 )
 from summarysd.specfun import std_normal_quantile
 
+_OVERFLOW = "estimate overflows double precision"
 FIRST = CorrectionOrder.FIRST
 NONE = CorrectionOrder.NONE
 SECOND = CorrectionOrder.SECOND
@@ -132,7 +134,6 @@ class TestEstimateMean:
     def test_c1_with_finite_n_term(self):
         s = StudySummary(n=10, min_a=0, median_m=4, max_b=10)
         assert estimate_mean(s) == pytest.approx(4.55, abs=1e-12)
-        assert estimate_mean(s, simple_c1=True) == pytest.approx(4.5, abs=1e-12)
 
     def test_c3_symmetric(self):
         s = StudySummary(n=10, q1=1, median_m=2, q3=3)
@@ -142,15 +143,20 @@ class TestEstimateMean:
         s = StudySummary(n=10, min_a=0, q1=1, median_m=2, q3=3, max_b=4)
         assert estimate_mean(s) == pytest.approx((0 + 2 + 4 + 6 + 4) / 8)
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(n=10, min_a=1e308, median_m=1.5e308, max_b=1.7e308),  # inf - inf: NaN
-        dict(n=10, q1=1e308, median_m=1.5e308, q3=1.7e308),  # inf
-    ], ids=["c1", "c3"])
-    def test_mean_beyond_double_precision(self, kwargs):
+    @pytest.mark.parametrize("kwargs, reason", [
+        (dict(n=10, min_a=1e308, median_m=1.5e308, max_b=1.7e308), _OVERFLOW),  # inf - inf: NaN
+        (dict(n=10, q1=1e308, median_m=1.5e308, q3=1.7e308), _OVERFLOW),  # inf
+        # The mean is finite, but the study has no SD.
+        (dict(n=10, min_a=-1e308, median_m=0, max_b=1e308), _OVERFLOW),
+        (dict(n=2**53, min_a=0, median_m=1, max_b=2),
+         "n=9007199254740992 is too large for the range divisor"),
+    ], ids=["c1", "c3", "sd", "range-divisor"])
+    def test_mean_beyond_double_precision(self, kwargs, reason):
+        # estimate_mean rejects exactly the studies estimate_moments does.
         for estimate in (estimate_mean, estimate_moments):
             with pytest.raises(ValueError) as exc:
                 estimate(StudySummary(**kwargs))
-            assert str(exc.value) == "estimate overflows double precision"
+            assert str(exc.value) == reason
 
 
 class TestCorrections:
@@ -198,11 +204,12 @@ class TestDivisors:
 
     def test_range_divisor_ends_where_blom_position_rounds_to_one(self):
         assert xi_hat(2**52) == blom_range_divisor(2**52) > 0
-        for n in (2**52 + 1, 2**63 - 1):
+        for n in (2**52 + 1, 2**63 - 1, 2**70):  # 2**70 is an object array's Python int
             for divisor in (blom_range_divisor, xi_hat):
                 with pytest.raises(ValueError, match=f"^n={n} is too large for the range divisor$"):
                     divisor(n)
         assert eta_hat(2**63 - 1) == pytest.approx(1.349, abs=1e-3)
+        assert eta_hat(2**70) == 1.3489795003921634
 
     def test_one_n_or_an_array_of_n(self):
         ns = np.array([2, 3, 50, 51, 10**6])
@@ -252,6 +259,23 @@ class TestDivisors:
             xi_hat(1)
         with pytest.raises(ValueError):
             eta_hat(1)
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("f, args, reason", [
+        (delta_hat, (), "correction defined for n >= 2"),
+        (epsilon_hat, (FIRST,), "correction defined for n >= 2"),
+        (epsilon_hat, (SECOND,), "second-order correction is defined for 3 <= n <= 50"),
+        (xi_hat, (), "divisor defined for n >= 2"),
+        (eta_hat, (NONE,), "divisor defined for n >= 2"),
+        (eta_hat, (FIRST,), "divisor defined for n >= 2"),
+        (eta_hat, (SECOND,), "divisor defined for n >= 2"),
+    ], ids=["delta", "epsilon-first", "epsilon-second", "xi", "eta-none", "eta-first", "eta-second"])
+    def test_non_finite_n_rejected(self, f, args, reason, n):
+        # With no warning: pytest makes a RuntimeWarning an error.
+        with pytest.raises(ValueError, match=f"^{reason}, got {n}$"):
+            f(n, *args)
+        with pytest.raises(ValueError, match=f"^{reason}, got {n}$"):
+            f(np.array([10.0, n]), *args)
 
 
 class TestEstimateSd:
@@ -434,8 +458,21 @@ class TestRequiredSampleSize:
         assert required_sample_size(sigma, delta, 0.05, 0.2) == n
 
     def test_large_finite_bound(self):
-        # The same formula as before: 2 sigma^2 (z_a + z_b)^2 / delta^2.
-        z = std_normal_quantile(0.975) + std_normal_quantile(0.8)
+        # The same formula as before: 2 sigma^2 (z_a + z_b)^2 / delta^2,
+        # with both z taken in the lower tail.
+        z = std_normal_quantile(0.025) + std_normal_quantile(0.2)
         assert required_sample_size(1.0, 1e-150, 0.05, 0.2) == math.ceil(
             2.0 * z**2 / (1e-150 * 1e-150)
         )
+
+    @pytest.mark.parametrize("alpha, beta, n", [(1e-20, 0.2, 829), (0.05, 1e-20, 1008)])
+    def test_tail_where_one_minus_x_rounds_to_one(self, alpha, beta, n):
+        assert required_sample_size(1.0, 0.5, alpha, beta) == n
+
+    def test_z_keeps_its_tail_digits(self):
+        # 1 - 0.0005 cancels: its quantile is 3.1e-14 off, the lower tail's 5e-16.
+        z = -std_normal_quantile(0.0005)
+        assert abs(z + ndtri(0.0005)) < 1e-15
+        # At a bound of 2.2e15 that 3.1e-14 moved the result by 41; the
+        # bound's own rounding moves it by a few units.
+        assert abs(required_sample_size(1e7, 1.0, 0.001, 0.5) - 2e14 * ndtri(0.0005) ** 2) < 5

@@ -309,6 +309,15 @@ class TestRegeneration:
         with pytest.raises(ValueError, match=rf"<= {tables.N_MAX}, got {n_min} and {n_max}$"):
             regenerate_tables(n_min=n_min, n_max=n_max, which="eta")
 
+    @pytest.mark.parametrize("n_min, n_max, name, value", [
+        (2.5, 3, "n_min", 2.5),
+        (2, 3.0, "n_max", 3.0),
+        (True, 3, "n_min", True),
+    ])
+    def test_range_bounds_must_be_integers(self, n_min, n_max, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            oracle.check_range(n_min, n_max)
+
 
 def round_half_up(value: float, *places: int) -> float:
     """Round the exact decimal value of ``value`` half up, to each
