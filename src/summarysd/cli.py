@@ -55,14 +55,14 @@ def _fmt(x: float) -> str:
     return format(x, ".6g")
 
 
-def _parse_range(text: str, lo: int = 1) -> tuple[int, int]:
+def _parse_range(text: str) -> tuple[int, int]:
     try:
         a_s, b_s = text.split(":")
         a, b = int(a_s), int(b_s)
     except ValueError:
         raise FatalCliError(f"range must be A:B with integers, got {text!r}")
-    if a < lo or a > b:
-        raise FatalCliError(f"invalid range {text!r}: need {lo} <= A <= B")
+    if a < 1 or a > b:
+        raise FatalCliError(f"invalid range {text!r}: need 1 <= A <= B")
     return a, b
 
 
@@ -372,7 +372,7 @@ def _write_output(fh, text: str) -> None:
 
 
 def cmd_tables(args) -> int:
-    n_min, n_max = _parse_range(args.range, lo=1)
+    n_min, n_max = _parse_range(args.range)
     order = CorrectionOrder(args.correction)
     _check_cutoff(args.cutoff, order)
     kind = DIVISORS[args.which]
@@ -382,13 +382,12 @@ def cmd_tables(args) -> int:
     for n in range(n_min, n_max + 1):
         tab = _fmt(table.value(n)) if n <= tables.N_MAX else ""
         asym = corrected = residual = ""
-        if n >= 2:
-            # The cells of a divisor that n does not have stay empty.
-            with contextlib.suppress(ValueError):
-                asym = _fmt(kind.asymptotic(n))
-                value = kind.corrected(n, order, args.cutoff)
-                corrected = _fmt(value)
-                residual = _fmt(float(tab) - value) if tab else ""
+        # The cells of a divisor that n does not have stay empty.
+        with contextlib.suppress(ValueError):
+            asym = _fmt(kind.asymptotic(n))
+            value = kind.corrected(n, order, args.cutoff)
+            corrected = _fmt(value)
+            residual = _fmt(float(tab) - value) if tab else ""
         out.write(f"{n}\t{tab}\t{asym}\t{corrected}\t{residual}\n")
     return 0
 

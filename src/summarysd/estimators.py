@@ -397,6 +397,7 @@ def blom_range_divisor(n: int | np.ndarray) -> float | np.ndarray:
     """Asymptotic range divisor: twice the normal quantile at Blom's
     position (n - 3/8) / (n + 1/4) of the sample maximum.  Above
     n = 2**52 the position rounds to 1 and there is no divisor."""
+    _reject(n, _not_finite_from_two(n), _DIVISOR_N_MIN)
     p = _range_position(n)
     _reject(n, p >= 1.0, _RANGE_N_TOO_LARGE)
     return 2.0 * std_normal_quantile(p)
@@ -406,6 +407,7 @@ def blom_range_divisor(n: int | np.ndarray) -> float | np.ndarray:
 def blom_iqr_divisor(n: int | np.ndarray) -> float | np.ndarray:
     """Asymptotic IQR divisor: twice the normal quantile at Blom's
     position (3n/4 - 1/8) / (n + 1/4) of the third quartile."""
+    _reject(n, _not_finite_from_two(n), _DIVISOR_N_MIN)
     return 2.0 * std_normal_quantile((0.75 * n - 0.125) / (n + 0.25))
 
 
@@ -416,7 +418,6 @@ def xi_hat(n: int | np.ndarray, cutoff: int = PIECEWISE_CUTOFF) -> float | np.nd
     Asymptotic form plus the log-linear correction for n <= cutoff; the
     asymptotic form alone above it.
     """
-    _reject(n, _not_finite_from_two(n), _DIVISOR_N_MIN)
     base = blom_range_divisor(n)
     small = n <= cutoff
     base[small] += delta_hat(n[small])
@@ -430,7 +431,6 @@ def eta_hat(
     cutoff: int = PIECEWISE_CUTOFF,
 ) -> float | np.ndarray:
     """Divisor turning an observed IQR into an SD estimate."""
-    _reject(n, _not_finite_from_two(n), _DIVISOR_N_MIN)
     base = blom_iqr_divisor(n)
     if order is not CorrectionOrder.NONE:
         small = n <= cutoff

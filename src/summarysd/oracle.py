@@ -105,10 +105,6 @@ class QuadratureConfig:
             raise ValueError("integration bound must be at least 8")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class McConfig:
     replications: int = 1_000_000
@@ -119,7 +115,7 @@ class McConfig:
     def __post_init__(self):
         for name in ("replications", "chunk_size", "seed"):
             value = getattr(self, name)
-            if not _is_int(value):
+            if not tables._is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replications < 10_000:
             raise ValueError("need at least 10^4 replications")
@@ -154,6 +150,8 @@ def _range_nodes(b: float, level: int) -> tuple[float, np.ndarray, np.ndarray]:
 def expected_range(n: int, cfg: QuadratureConfig = QuadratureConfig()) -> float:
     """Expected range of n standard normal observations, by the
     trapezoid rule with step halving (see the module docstring)."""
+    if not tables._is_int(n):
+        raise ValueError(f"expected range needs an integer n, got {n!r}")
     if n < 2:
         raise ValueError(f"expected range defined for n >= 2, got {n}")
 
@@ -255,7 +253,7 @@ def expected_iqr(n: int, cfg: McConfig = McConfig()) -> tuple[float, float]:
     parallelism, and no two (convention, n) share their draws.  Chunk i
     draws from the stream ``SeedSequence.spawn`` would give as its i-th.
     """
-    if not _is_int(n):
+    if not tables._is_int(n):
         raise ValueError(f"expected IQR needs an integer n, got {n!r}")
     if n < 2:
         raise ValueError(f"expected IQR defined for n >= 2, got {n}")
@@ -333,7 +331,7 @@ def check_range(n_min: int, n_max: int) -> None:
     """Raise ValueError unless integers 2 <= n_min <= n_max <= ``tables.N_MAX``,
     the range :func:`regenerate_tables` can compare with the tables."""
     for name, value in (("n_min", n_min), ("n_max", n_max)):
-        if not _is_int(value):
+        if not tables._is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 2 <= n_min <= n_max <= tables.N_MAX:
         raise ValueError(f"oracle range limited to 2 <= n_min <= n_max <= {tables.N_MAX}, "

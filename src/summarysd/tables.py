@@ -14,6 +14,7 @@ and eta(24) (1.3294858 -> 1.330) differ from a single rounding.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -31,6 +32,10 @@ FIXTURE_NAME = "divisor_tables.tsv"
 N_MIN, N_MAX = 1, 50
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DivisorTable:
     """Immutable lookup table n -> divisor value for n in 1..50."""
@@ -43,7 +48,7 @@ class DivisorTable:
             raise ValueError(f"expected {N_MAX} entries, got {len(self.values)}")
 
     def value(self, n: int) -> float:
-        if not N_MIN <= n <= N_MAX:
+        if not (_is_int(n) and N_MIN <= n <= N_MAX):
             raise KeyError(f"{self.name} table covers n in {N_MIN}..{N_MAX}, got {n}")
         return self.values[n - 1]
 

@@ -15,6 +15,7 @@ from summarysd.estimators import (
     CorrectionOrder,
     Scenario,
     StudySummary,
+    blom_iqr_divisor,
     blom_range_divisor,
     delta_hat,
     epsilon_hat,
@@ -255,10 +256,11 @@ class TestDivisors:
             assert eta_hat(n, FIRST) == eta_hat(n, NONE)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            xi_hat(1)
-        with pytest.raises(ValueError):
-            eta_hat(1)
+        for f in (blom_range_divisor, blom_iqr_divisor, xi_hat, eta_hat):
+            for n in (1, 0, -1):
+                for arg in (n, np.array([10, n])):
+                    with pytest.raises(ValueError, match=f"^divisor defined for n >= 2, got {n}$"):
+                        f(arg)
 
     @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("f, args, reason", [
@@ -269,7 +271,10 @@ class TestDivisors:
         (eta_hat, (NONE,), "divisor defined for n >= 2"),
         (eta_hat, (FIRST,), "divisor defined for n >= 2"),
         (eta_hat, (SECOND,), "divisor defined for n >= 2"),
-    ], ids=["delta", "epsilon-first", "epsilon-second", "xi", "eta-none", "eta-first", "eta-second"])
+        (blom_range_divisor, (), "divisor defined for n >= 2"),
+        (blom_iqr_divisor, (), "divisor defined for n >= 2"),
+    ], ids=["delta", "epsilon-first", "epsilon-second", "xi", "eta-none", "eta-first", "eta-second",
+            "blom-range", "blom-iqr"])
     def test_non_finite_n_rejected(self, f, args, reason, n):
         # With no warning: pytest makes a RuntimeWarning an error.
         with pytest.raises(ValueError, match=f"^{reason}, got {n}$"):

@@ -134,6 +134,13 @@ class TestExpectedRange:
                     QuadratureConfig(**{field: value})
 
 
+def _expected(which, n):
+    """``expected_range(n)`` or ``expected_iqr(n)``, by name."""
+    if which == "range":
+        return expected_range(n)
+    return expected_iqr(n, McConfig(replications=10_000))
+
+
 class TestExpectedIqr:
     def test_deterministic(self):
         cfg = McConfig(replications=20_000, seed=42, chunk_size=7_000)
@@ -243,14 +250,20 @@ class TestExpectedIqr:
         assert rng.shapes == [b - a for a, b in zip(ranks, ranks[1:])]
         assert sum(rng.shapes) == m + 1
 
-    @pytest.mark.parametrize("n", [5.5, 5.0, True, "5"])
-    def test_n_must_be_an_integer(self, n):
-        with pytest.raises(ValueError, match=rf"^expected IQR needs an integer n, got {re.escape(repr(n))}$"):
-            expected_iqr(n, McConfig(replications=10_000))
+    # The IQR cases keep their bare ids; expected_range shares the rule.
+    @pytest.mark.parametrize("which, n", [
+        pytest.param(which, n, id=f"{prefix}{n}")
+        for which, prefix in (("IQR", ""), ("range", "range-"))
+        for n in (5.5, 5.0, True, "5", math.nan, math.inf)
+    ])
+    def test_n_must_be_an_integer(self, which, n):
+        with pytest.raises(ValueError, match=rf"^expected {which} needs an integer n, got {re.escape(repr(n))}$"):
+            _expected(which, n)
 
     def test_n_below_2_keeps_its_reason(self):
-        with pytest.raises(ValueError, match=r"^expected IQR defined for n >= 2, got 1$"):
-            expected_iqr(1, McConfig(replications=10_000))
+        for which in ("IQR", "range"):
+            with pytest.raises(ValueError, match=rf"^expected {which} defined for n >= 2, got 1$"):
+                _expected(which, 1)
 
     def test_replication_floor(self):
         with pytest.raises(ValueError):

@@ -55,7 +55,7 @@ class TestFixture:
         vals = [eta_table(n) for n in range(1, 51)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("n", [0, 51, -3])
+    @pytest.mark.parametrize("n", [0, 51, -3, True, 3.0, 2.5])
     def test_lookup_errors(self, n):
         with pytest.raises(KeyError, match=f"^'xi table covers n in 1..50, got {n}'$"):
             xi_table(n)
