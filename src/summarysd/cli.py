@@ -29,6 +29,7 @@ from .estimators import (
     SCENARIOS,
     CorrectionOrder,
     Scenario,
+    check_cutoff,
     estimate_columns,
 )
 
@@ -67,8 +68,10 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _check_cutoff(cutoff: int, order: CorrectionOrder) -> None:
-    if cutoff < 2:
-        raise FatalCliError(f"--cutoff must be >= 2, got {cutoff}")
+    try:
+        check_cutoff(cutoff)
+    except ValueError as exc:
+        raise FatalCliError(f"--{exc}")
     if order is CorrectionOrder.SECOND and cutoff > PIECEWISE_CUTOFF:
         raise FatalCliError(
             f"--correction second is defined for n <= {PIECEWISE_CUTOFF}, "
@@ -364,9 +367,11 @@ def _open_output(path: str | None, default=None):
 
 
 def _write_output(fh, text: str) -> None:
+    """Write ``text`` to ``fh`` and close it, or only flush it if it is
+    standard error, so that a failed write names the file."""
     try:
         fh.write(text)
-        fh.flush()
+        fh.flush() if fh is sys.stderr else fh.close()
     except OSError as exc:
         raise FatalCliError(f"cannot write {fh.name}: {exc}")
 

@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .specfun import _elementwise, _libm, std_normal_quantile
+from .tables import _is_int
 
 __all__ = [
     "Scenario",
@@ -36,6 +37,7 @@ __all__ = [
     "ColumnEstimates",
     "PIECEWISE_CUTOFF",
     "N_LIMIT",
+    "check_cutoff",
     "estimate_columns",
     "estimate_mean",
     "delta_hat",
@@ -119,9 +121,9 @@ class CorrectionOrder(enum.Enum):
 class StudySummary:
     """One study's reported summaries, in the measurement's units.
 
-    Absent summaries are ``None``.  The scenario is derived from which
-    fields are present: C1 needs {min, median, max}, C3 needs
-    {Q1, median, Q3}, C2 needs all five.
+    Absent summaries are ``None``.  :func:`estimate_moments` derives the
+    scenario from which fields are present: C1 needs {min, median, max},
+    C3 needs {Q1, median, Q3}, C2 needs all five.
     """
 
     n: int
@@ -154,13 +156,6 @@ class StudySummary:
             except TypeError:
                 raise ValueError(f"{field} must be a real number, got {v!r}") from None
         return np.array([self.n]), np.array(values)[:, None]
-
-    def scenario(self, override: Scenario | None = None) -> Scenario:
-        """Pick the scenario, preferring C2 > C3 > C1 (most information)."""
-        codes, unfit, reason = _scenario_codes(~np.isnan(self.columns()[1]), override)
-        if unfit[0]:
-            raise ValueError(reason)
-        return SCENARIOS[codes[0]]
 
 
 @dataclass(frozen=True)
@@ -273,6 +268,16 @@ def _divisor_column(kind, n, need, order, cutoff, memo, errors) -> np.ndarray:
     return out
 
 
+def check_cutoff(cutoff: int) -> None:
+    """Raise ValueError unless ``cutoff`` is an integer >= 2, not a bool:
+    the largest n whose divisors :func:`xi_hat`, :func:`eta_hat` and
+    :func:`estimate_columns` correct."""
+    if not _is_int(cutoff):
+        raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
+    if cutoff < 2:
+        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
+
+
 def estimate_columns(
     n,
     values,
@@ -288,9 +293,10 @@ def estimate_columns(
     NaN marking a value that was not reported.  The scenario of each
     study is C2 > C3 > C1 by the values present, or ``scenario`` for
     all.  C1 divides the range by ``xi_hat``, C3 the IQR by ``eta_hat``
-    and C2 averages the two; the divisors are evaluated once per
-    distinct n.  A caller estimating several batches may pass the same
-    dict as ``divisor_memo`` to reuse divisors across them.  A zero
+    and C2 averages the two, each corrected for n <= ``cutoff`` (see
+    :func:`check_cutoff`); the divisors are evaluated once per distinct
+    n.  A caller estimating several batches may pass the same dict as
+    ``divisor_memo`` to reuse divisors across them.  A zero
     spread is not an error, so batch pipelines can keep going: a row is
     flagged ``degenerate`` when a spread its SD divides (the range for
     C1, the IQR for C3, either for C2) is exactly zero, and its SD is 0
@@ -301,6 +307,7 @@ def estimate_columns(
     column keeps each element's own type, so in ``[10, "12"]`` or
     ``[10, 10.5]`` only the second row is an error.
     """
+    check_cutoff(cutoff)
     raw, n = n, np.asarray(n)
     if n.dtype.kind not in "iu" and not isinstance(raw, np.ndarray):
         n = np.array(raw, dtype=object)
@@ -418,6 +425,7 @@ def xi_hat(n: int | np.ndarray, cutoff: int = PIECEWISE_CUTOFF) -> float | np.nd
     Asymptotic form plus the log-linear correction for n <= cutoff; the
     asymptotic form alone above it.
     """
+    check_cutoff(cutoff)
     base = blom_range_divisor(n)
     small = n <= cutoff
     base[small] += delta_hat(n[small])
@@ -431,6 +439,7 @@ def eta_hat(
     cutoff: int = PIECEWISE_CUTOFF,
 ) -> float | np.ndarray:
     """Divisor turning an observed IQR into an SD estimate."""
+    check_cutoff(cutoff)
     base = blom_iqr_divisor(n)
     if order is not CorrectionOrder.NONE:
         small = n <= cutoff

@@ -117,6 +117,9 @@ class McConfig:
             value = getattr(self, name)
             if not tables._is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.quantile_convention, QuantileConvention):
+            raise ValueError(f"quantile_convention must be a QuantileConvention, "
+                             f"got {self.quantile_convention!r}")
         if self.replications < 10_000:
             raise ValueError("need at least 10^4 replications")
         if self.chunk_size < 1:

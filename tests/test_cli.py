@@ -296,9 +296,11 @@ class TestTables:
         assert out.splitlines() == expected
 
     def test_bad_range(self, capsys):
-        code, _, err = run(capsys, "tables", "--range", "9:2")
-        assert code == 2
-        assert "range" in err
+        for text in ("9:2", "x", "1:2:3", "2.5:3"):
+            code, _, err = run(capsys, "tables", "--range", text)
+            message = ("invalid range '9:2': need 1 <= A <= B" if text == "9:2"
+                       else f"range must be A:B with integers, got {text!r}")
+            assert (code, err) == (2, f"error: {message}\n")
 
 
 class TestRefit:
@@ -479,3 +481,15 @@ def test_stdout_that_cannot_be_written_is_one_error(tmp_path, argv):
     assert res.returncode == 2
     assert res.stderr.startswith("error: [Errno 28] ")
     assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--which", "xi", "--range", "2:3", "--report"],
+    ["refit", "--kind", "delta", "--emit-series"],
+    # A report longer than the 8192-byte buffer fails in write, not in flush.
+    ["oracle", "--which", "both", "--reps", "10000", "--range", "2:50", "--report"],
+], ids=["report", "emit-series", "long-report"])
+def test_side_output_that_cannot_be_written_names_its_path(capsys, argv):
+    code, _, err = run(capsys, *argv, "/dev/full")
+    assert (code, err) == (2, "error: cannot write /dev/full: [Errno 28] No space left on device\n")

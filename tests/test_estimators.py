@@ -19,6 +19,7 @@ from summarysd.estimators import (
     blom_range_divisor,
     delta_hat,
     epsilon_hat,
+    estimate_columns,
     estimate_mean,
     estimate_moments,
     estimate_sd,
@@ -37,22 +38,22 @@ SECOND = CorrectionOrder.SECOND
 class TestStudySummary:
     def test_scenario_detection(self):
         c1 = StudySummary(n=10, min_a=0, median_m=5, max_b=10)
-        assert c1.scenario() is Scenario.C1
+        assert estimate_moments(c1).scenario is Scenario.C1
         c3 = StudySummary(n=10, q1=1, median_m=2, q3=3)
-        assert c3.scenario() is Scenario.C3
+        assert estimate_moments(c3).scenario is Scenario.C3
         c2 = StudySummary(n=10, min_a=0, q1=1, median_m=2, q3=3, max_b=4)
-        assert c2.scenario() is Scenario.C2
+        assert estimate_moments(c2).scenario is Scenario.C2
 
     def test_priority_and_override(self):
         full = StudySummary(n=10, min_a=0, q1=1, median_m=2, q3=3, max_b=4)
-        assert full.scenario() is Scenario.C2
-        assert full.scenario(Scenario.C1) is Scenario.C1
-        assert full.scenario(Scenario.C3) is Scenario.C3
+        assert estimate_moments(full).scenario is Scenario.C2
+        assert estimate_moments(full, scenario=Scenario.C1).scenario is Scenario.C1
+        assert estimate_moments(full, scenario=Scenario.C3).scenario is Scenario.C3
 
     def test_override_needs_fields(self):
         c1 = StudySummary(n=10, min_a=0, median_m=5, max_b=10)
-        with pytest.raises(ValueError):
-            c1.scenario(Scenario.C3)
+        with pytest.raises(ValueError, match="^scenario c3 requested but required fields are missing$"):
+            estimate_moments(c1, scenario=Scenario.C3)
 
     def test_ordering_violation(self):
         with pytest.raises(ValueError):
@@ -63,8 +64,10 @@ class TestStudySummary:
             StudySummary(n=1, min_a=0, median_m=1, max_b=2)
 
     def test_no_scenario(self):
-        with pytest.raises(ValueError):
-            StudySummary(n=10, median_m=2).scenario()
+        with pytest.raises(ValueError) as exc:
+            estimate_moments(StudySummary(n=10, median_m=2))
+        assert str(exc.value) == (
+            "no scenario derivable: need {min, median, max} and/or {Q1, median, Q3}")
 
     @pytest.mark.parametrize("n", [10.5, 10.0, True, "10", None])
     def test_non_integer_n_rejected(self, n):
@@ -261,6 +264,23 @@ class TestDivisors:
                 for arg in (n, np.array([10, n])):
                     with pytest.raises(ValueError, match=f"^divisor defined for n >= 2, got {n}$"):
                         f(arg)
+
+    @pytest.mark.parametrize("cutoff, reason", [
+        (0, ">= 2"), (1, ">= 2"), (-5, ">= 2"),
+        (2.5, "an integer"), (math.nan, "an integer"), (math.inf, "an integer"),
+        (True, "an integer"), ("50", "an integer"),
+    ], ids=["0", "1", "-5", "2.5", "nan", "inf", "True", "str"])
+    @pytest.mark.parametrize("f", [
+        lambda cutoff: xi_hat(10, cutoff),
+        lambda cutoff: eta_hat(10, cutoff=cutoff),
+        lambda cutoff: estimate_columns([10], [[0.0], [math.nan], [4.0], [math.nan], [10.0]],
+                                        cutoff=cutoff),
+    ], ids=["xi", "eta", "columns"])
+    def test_cutoff_must_be_an_integer_from_two(self, f, cutoff, reason):
+        shown = cutoff if reason == ">= 2" else repr(cutoff)
+        with pytest.raises(ValueError) as exc:
+            f(cutoff)
+        assert str(exc.value) == f"cutoff must be {reason}, got {shown}"
 
     @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("f, args, reason", [

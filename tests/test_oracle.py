@@ -94,10 +94,6 @@ class TestExpectedRange:
         for n in (2, 17, 50):
             assert abs(expected_range(n, cfg8) - expected_range(n, cfg10)) <= 10 * cfg8.abs_tol
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            expected_range(1)
-
     def test_unreachable_tolerance_raises(self):
         # No error estimate falls below the sum's rounding error.
         cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
@@ -282,6 +278,13 @@ class TestExpectedIqr:
     def test_config_fields_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value!r}$"):
             McConfig(**{"replications": 10_000, field: value})
+
+    def test_convention_must_be_a_quantile_convention(self):
+        message = "^quantile_convention must be a QuantileConvention, got 'type7'$"
+        with pytest.raises(ValueError, match=message):
+            McConfig(replications=10_000, quantile_convention="type7")
+        with pytest.raises(ValueError, match=message):
+            regenerate_tables(McConfig(replications=10_000), 2, 2, "eta", conventions=("type7",))
 
 
 class TestRegeneration:

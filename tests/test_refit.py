@@ -9,8 +9,6 @@ from summarysd.estimators import (
     EPSILON_B,
     blom_iqr_divisor,
     blom_range_divisor,
-    eta_hat,
-    xi_hat,
 )
 from summarysd.refit import (
     RegressionFit,
@@ -199,7 +197,7 @@ class TestLoopClosure:
         a, b = fit.estimates()
         _, eta_tab = tables.load_tables()
         devs = [
-            abs(eta_tab.value(n) - (eta_hat(n, cutoff=0) + np.exp(n / (a + b * n))))
+            abs(eta_tab.value(n) - (blom_iqr_divisor(n) + np.exp(n / (a + b * n))))
             for n in range(2, 51)
         ]
         assert max(devs) <= 0.031
@@ -209,7 +207,7 @@ class TestLoopClosure:
         a, b = fit.estimates()
         xi_tab, _ = tables.load_tables()
         devs = [
-            abs(xi_tab.value(n) - (xi_hat(n, cutoff=0) + a + b * np.log(n)))
+            abs(xi_tab.value(n) - (blom_range_divisor(n) + a + b * np.log(n)))
             for n in range(2, 51)
         ]
         assert max(devs) <= 0.006
