@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -134,7 +133,7 @@ class StudySummary:
     max_b: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral):
+        if not _is_int(self.n):
             raise ValueError(f"sample size must be an integer, got {self.n!r}")
         if problems := _invalid_rows(*self.columns()):
             raise ValueError(problems[0])
@@ -205,7 +204,7 @@ def _invalid_rows(n: np.ndarray, values: np.ndarray) -> dict[int, str]:
     if n.dtype.kind not in "iu":  # each element is looked at, and a non-integer reads as 2
         n = n.astype(object)
         for r, x in enumerate(n.tolist()):
-            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            if not _is_int(x):
                 problems[r] = f"sample size must be an integer, got {x!r}"
                 n[r] = 2
     for r in np.flatnonzero(n >= N_LIMIT).tolist():
@@ -294,9 +293,11 @@ def estimate_columns(
     study is C2 > C3 > C1 by the values present, or ``scenario`` for
     all.  C1 divides the range by ``xi_hat``, C3 the IQR by ``eta_hat``
     and C2 averages the two, each corrected for n <= ``cutoff`` (see
-    :func:`check_cutoff`); the divisors are evaluated once per distinct
-    n.  A caller estimating several batches may pass the same dict as
-    ``divisor_memo`` to reuse divisors across them.  A zero
+    :func:`check_cutoff`) to ``order``; the divisors are evaluated once
+    per distinct n.  An ``order`` that is not a :class:`CorrectionOrder`,
+    or a ``scenario`` that is not a :class:`Scenario` or None, raises
+    ValueError.  A caller estimating several batches may pass the same
+    dict as ``divisor_memo`` to reuse divisors across them.  A zero
     spread is not an error, so batch pipelines can keep going: a row is
     flagged ``degenerate`` when a spread its SD divides (the range for
     C1, the IQR for C3, either for C2) is exactly zero, and its SD is 0
@@ -308,6 +309,10 @@ def estimate_columns(
     ``[10, 10.5]`` only the second row is an error.
     """
     check_cutoff(cutoff)
+    if not isinstance(order, CorrectionOrder):
+        raise ValueError(f"order must be a CorrectionOrder, got {order!r}")
+    if not (scenario is None or isinstance(scenario, Scenario)):
+        raise ValueError(f"scenario must be a Scenario or None, got {scenario!r}")
     raw, n = n, np.asarray(n)
     if n.dtype.kind not in "iu" and not isinstance(raw, np.ndarray):
         n = np.array(raw, dtype=object)

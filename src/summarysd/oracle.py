@@ -150,14 +150,18 @@ def _range_nodes(b: float, level: int) -> tuple[float, np.ndarray, np.ndarray]:
     return h, zpdf, cdf
 
 
+def _check_sample_size(n: int, what: str) -> None:
+    """Raise ValueError unless n, the sample size of ``what``, is an integer >= 2."""
+    if not tables._is_int(n):
+        raise ValueError(f"expected {what} needs an integer n, got {n!r}")
+    if n < 2:
+        raise ValueError(f"expected {what} defined for n >= 2, got {n}")
+
+
 def expected_range(n: int, cfg: QuadratureConfig = QuadratureConfig()) -> float:
     """Expected range of n standard normal observations, by the
     trapezoid rule with step halving (see the module docstring)."""
-    if not tables._is_int(n):
-        raise ValueError(f"expected range needs an integer n, got {n!r}")
-    if n < 2:
-        raise ValueError(f"expected range defined for n >= 2, got {n}")
-
+    _check_sample_size(n, "range")
     value = math.inf
     for level in range(_FIRST_LEVEL, _LAST_LEVEL + 1):
         h, zpdf, cdf = _range_nodes(cfg.integration_bound, level)
@@ -256,10 +260,7 @@ def expected_iqr(n: int, cfg: McConfig = McConfig()) -> tuple[float, float]:
     parallelism, and no two (convention, n) share their draws.  Chunk i
     draws from the stream ``SeedSequence.spawn`` would give as its i-th.
     """
-    if not tables._is_int(n):
-        raise ValueError(f"expected IQR needs an integer n, got {n!r}")
-    if n < 2:
-        raise ValueError(f"expected IQR defined for n >= 2, got {n}")
+    _check_sample_size(n, "IQR")
     key = (list(QuantileConvention).index(cfg.quantile_convention), n)
     total = 0.0
     total_sq = 0.0
@@ -351,21 +352,26 @@ def regenerate_tables(
     """Recompute divisor tables over n_min..n_max.
 
     ``which`` selects "xi", "eta" or "both".  xi is the range quadrature
-    at the default :class:`QuadratureConfig`.  For eta, every requested
-    convention is run and the one with the smallest maximum deviation
-    from the fixture table is flagged as best.  Raises ValueError for any
-    other ``which``, and :func:`check_range` checks the range.
+    at the default :class:`QuadratureConfig`.  For eta, every convention
+    in ``conventions`` (all four if it is None) is run and the one with
+    the smallest maximum deviation from the fixture table is flagged as
+    best.  Raises ValueError for any other ``which`` and, when eta is
+    computed, for empty ``conventions``; :func:`check_range` checks the
+    range.
     """
     if which not in ("xi", "eta", "both"):
         raise ValueError(f"which must be 'xi', 'eta' or 'both', got {which!r}")
     check_range(n_min, n_max)
+    convs = tuple(QuantileConvention) if conventions is None else conventions
+    if which != "xi" and not convs:
+        raise ValueError("conventions must name at least one QuantileConvention, "
+                         f"got {conventions!r}")
     ns = list(range(n_min, n_max + 1))
     result = RegenerationResult(n_values=ns)
     if which in ("xi", "both"):
         for n in ns:
             result.xi[n] = expected_range(n)
     if which in ("eta", "both"):
-        convs = conventions or tuple(QuantileConvention)
         for conv in convs:
             conv_cfg = replace(cfg_mc, quantile_convention=conv)
             result.eta[conv] = {n: expected_iqr(n, conv_cfg) for n in ns}

@@ -282,6 +282,22 @@ class TestDivisors:
             f(cutoff)
         assert str(exc.value) == f"cutoff must be {reason}, got {shown}"
 
+    @pytest.mark.parametrize("argument, value, message", [
+        ("order", "first", "order must be a CorrectionOrder, got 'first'"),
+        ("order", None, "order must be a CorrectionOrder, got None"),
+        ("order", 1, "order must be a CorrectionOrder, got 1"),
+        ("scenario", "c1", "scenario must be a Scenario or None, got 'c1'"),
+        ("scenario", 0, "scenario must be a Scenario or None, got 0"),
+    ], ids=["order-str", "order-None", "order-int", "scenario-str", "scenario-int"])
+    @pytest.mark.parametrize("f", [
+        lambda **kw: estimate_moments(StudySummary(n=10, min_a=0, median_m=4, max_b=10), **kw),
+        lambda **kw: estimate_columns([10], [[0.0], [math.nan], [4.0], [math.nan], [10.0]], **kw),
+    ], ids=["moments", "columns"])
+    def test_order_and_scenario_must_be_enums(self, f, argument, value, message):
+        with pytest.raises(ValueError) as exc:
+            f(**{argument: value})
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("f, args, reason", [
         (delta_hat, (), "correction defined for n >= 2"),

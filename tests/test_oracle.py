@@ -137,6 +137,25 @@ def _expected(which, n):
     return expected_iqr(n, McConfig(replications=10_000))
 
 
+class TestSampleSize:
+    """The one n rule that expected_range and expected_iqr share."""
+
+    # The IQR cases keep their bare ids.
+    @pytest.mark.parametrize("which, n", [
+        pytest.param(which, n, id=f"{prefix}{n}")
+        for which, prefix in (("IQR", ""), ("range", "range-"))
+        for n in (5.5, 5.0, True, "5", math.nan, math.inf)
+    ])
+    def test_n_must_be_an_integer(self, which, n):
+        with pytest.raises(ValueError, match=rf"^expected {which} needs an integer n, got {re.escape(repr(n))}$"):
+            _expected(which, n)
+
+    def test_n_below_2_keeps_its_reason(self):
+        for which in ("IQR", "range"):
+            with pytest.raises(ValueError, match=rf"^expected {which} defined for n >= 2, got 1$"):
+                _expected(which, 1)
+
+
 class TestExpectedIqr:
     def test_deterministic(self):
         cfg = McConfig(replications=20_000, seed=42, chunk_size=7_000)
@@ -246,21 +265,6 @@ class TestExpectedIqr:
         assert rng.shapes == [b - a for a, b in zip(ranks, ranks[1:])]
         assert sum(rng.shapes) == m + 1
 
-    # The IQR cases keep their bare ids; expected_range shares the rule.
-    @pytest.mark.parametrize("which, n", [
-        pytest.param(which, n, id=f"{prefix}{n}")
-        for which, prefix in (("IQR", ""), ("range", "range-"))
-        for n in (5.5, 5.0, True, "5", math.nan, math.inf)
-    ])
-    def test_n_must_be_an_integer(self, which, n):
-        with pytest.raises(ValueError, match=rf"^expected {which} needs an integer n, got {re.escape(repr(n))}$"):
-            _expected(which, n)
-
-    def test_n_below_2_keeps_its_reason(self):
-        for which in ("IQR", "range"):
-            with pytest.raises(ValueError, match=rf"^expected {which} defined for n >= 2, got 1$"):
-                _expected(which, 1)
-
     def test_replication_floor(self):
         with pytest.raises(ValueError):
             McConfig(replications=5_000)
@@ -285,6 +289,9 @@ class TestExpectedIqr:
             McConfig(replications=10_000, quantile_convention="type7")
         with pytest.raises(ValueError, match=message):
             regenerate_tables(McConfig(replications=10_000), 2, 2, "eta", conventions=("type7",))
+        with pytest.raises(ValueError, match=r"^conventions must name at least one "
+                                             r"QuantileConvention, got \(\)$"):
+            regenerate_tables(McConfig(replications=10_000), 2, 2, "eta", conventions=())
 
 
 class TestRegeneration:
