@@ -1,23 +1,36 @@
 """Independent numerical recomputation of the divisor tables.
 
-The expected normalised range is recovered from the order-statistic
-identity
+Both divisors are linear in the means of normal order statistics: the
+expected range of n standard normals is 2 E[X_(n:n)], and the expected
+sample IQR is a weighted sum of E[X_(r:m)] over the ranks r that a
+quantile convention reads.  E[X_(k:m)] is the integral of z times the
+density of the k-th of m order statistics,
 
-    E[X_(n) - X_(1)] = integral of z * n * phi(z)
-                       * (Phi(z)^(n-1) - (1 - Phi(z))^(n-1)) dz
+    f(z) = m! / ((k-1)! (m-k)!) * Phi(z)^(k-1) * (1 - Phi(z))^(m-k) * phi(z)
 
-by the trapezoid rule on [-b, b].  The integrand is analytic and
-decays like phi(z), so the rule converges exponentially in the number
-of nodes (Trefethen & Weideman, SIAM Review 56, 2014).  The step is
-halved from 2^4 panels, up to 2^12, until two successive sums agree to
-the tolerance; their difference, but no less than 50 machine epsilons
-of the value, is the discretisation error.  The error estimate adds the
-tails beyond +-b, which halving cannot shrink: |integrand| <= n z phi(z)
-there, so together they are at most 2 n phi(b).  The default tolerance
-of 1e-9 is met at 2^6 or 2^7 panels for n = 2..50, and the values agree
-with an independent quadrature over the whole real line to 6e-13, which
-is the tails beyond b = 8 (3e-15 at b = 10).  phi and Phi at the nodes
-do not depend on n and are computed once per (b, level).
+(David & Nagaraja, Order Statistics, 2003, ch. 3; Royston, Algorithm
+AS 177, 1982).  One kernel integrates it for many pairs (k, m) at once,
+by the trapezoid rule on [-b, b].  f is formed in log space from an
+lgamma coefficient, log phi and log Phi; Phi is erfc-based, so the left
+tail keeps its relative accuracy, and log(1 - Phi) is log Phi reversed
+on the symmetric nodes.  The integrand is analytic and decays like
+phi(z), so the rule converges exponentially in the number of nodes
+(Trefethen & Weideman, SIAM Review 56, 2014).  The step is halved from
+2^4 panels, up to 2^12, until a pair's error estimate is within its
+budget, max(abs_tol, rel_tol |value|).  The estimate is the largest of
+three: the change from the previous level's sum, which uses every other
+node; |mass - 1|, where the mass is the same rule applied to f alone;
+and 50 machine epsilons of the integral of max(|z|, 1) f, the sums'
+rounding error.  The mass guards against false convergence: the peak
+of a narrow density (large m) can fall between the coarse nodes, where
+two levels agree at about 0.  The estimate then adds the tails beyond
++-b, which halving cannot shrink: f <= m phi(z), so together they hold
+at most 2 m phi(b).  Past 10 times the budget the quadrature raises
+QuadratureError.  At the default tolerance of 1e-9 the range meets its
+budget at 2^6 or 2^7 panels for n = 2..50, and agrees with an
+independent quadrature over the whole real line to 6.2e-13, which is
+the tails beyond b = 8 (1.1e-13 at b = 10).  The nodes, Phi and phi do
+not depend on (k, m) and are computed once per (b, level).
 
 The expected normalised IQR is recovered by reproducible Monte Carlo
 under a choice of quantile conventions.  A convention reads the sample
@@ -30,8 +43,10 @@ gammas, and U_(r_j) is the sum of the first j over the sum of all
 chain of k Beta draws costs 2k, and a gap of one rank is an
 exponential.  The uniforms go through the bulk normal quantile, and
 the weighted sum of those normal order statistics is the sample IQR.
-Neither path reuses the correction formulas, so either side can audit
-the other against the fixtures.
+The exact and the Monte Carlo IQR read their ranks and weights from one
+table, so each convention is written once.  Neither path reuses the
+correction formulas, so either side can audit the other against the
+fixtures.
 """
 
 from __future__ import annotations
@@ -46,7 +61,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import tables
-from .specfun import std_normal_cdf, std_normal_pdf, std_normal_quantile_vec
+from .specfun import std_normal_cdf, std_normal_quantile_vec
 
 __all__ = [
     "QuadratureConfig",
@@ -55,6 +70,7 @@ __all__ = [
     "QuadratureError",
     "expected_range",
     "expected_iqr",
+    "expected_iqr_exact",
     "check_range",
     "regenerate_tables",
     "RegenerationResult",
@@ -105,6 +121,12 @@ class QuadratureConfig:
             raise ValueError("integration bound must be at least 8")
 
 
+def _check_convention(value) -> None:
+    """Raise ValueError unless ``value`` is a QuantileConvention."""
+    if not isinstance(value, QuantileConvention):
+        raise ValueError(f"quantile_convention must be a QuantileConvention, got {value!r}")
+
+
 @dataclass(frozen=True)
 class McConfig:
     replications: int = 1_000_000
@@ -117,9 +139,7 @@ class McConfig:
             value = getattr(self, name)
             if not tables._is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.quantile_convention, QuantileConvention):
-            raise ValueError(f"quantile_convention must be a QuantileConvention, "
-                             f"got {self.quantile_convention!r}")
+        _check_convention(self.quantile_convention)
         if self.replications < 10_000:
             raise ValueError("need at least 10^4 replications")
         if self.chunk_size < 1:
@@ -131,23 +151,88 @@ class McConfig:
 # Trapezoid levels: 2**level panels on [-b, b].
 _FIRST_LEVEL, _LAST_LEVEL = 4, 12
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 @lru_cache(maxsize=32)
-def _range_nodes(b: float, level: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Step h, z phi(z) and Phi(z) at the 2**level + 1 nodes of [-b, b].
+def _nodes(b: float, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights, log Phi(z) and log phi(z) at the 2**level + 1 nodes z of [-b, b].
 
-    The nodes are h times whole numbers, so they are exactly symmetric
-    and Phi(-z) is ``Phi(z)`` reversed.  The arrays are read-only: every
-    caller shares them.
+    Row by row, the weights turn a density f at the nodes into the
+    trapezoid sums of f, of z f less the previous level's sum of z f
+    (every other node), of 50 eps max(|z|, 1) f and of z f.  The third is the
+    rounding floor: two sums can agree to the last bit, so an error
+    estimate is kept above 50 machine epsilons of the integral of
+    max(|z|, 1) f, which bounds both |z f| and f, as in QUADPACK.  The
+    nodes are h times whole numbers, so they are exactly symmetric and
+    log(1 - Phi(z)) is ``log Phi`` reversed.  Phi is floored at the
+    smallest normal double, which keeps its log finite at any bound.  The
+    arrays are read-only: every caller shares them.
     """
     half = 2 ** (level - 1)
     h = b / half
     z = h * np.arange(-half, half + 1)
-    zpdf = z * std_normal_pdf(z)
-    cdf = std_normal_cdf(z)
-    zpdf.flags.writeable = cdf.flags.writeable = False
-    return h, zpdf, cdf
+    fine = np.full(z.size, h)
+    fine[[0, -1]] = h / 2
+    coarse = np.zeros(z.size)
+    coarse[::2] = 2 * h
+    coarse[[0, -1]] = h
+    weights = np.stack([fine, (fine - coarse) * z,
+                        50 * _EPS * np.maximum(np.abs(z), 1.0) * fine, fine * z])
+    log_cdf = np.log(np.maximum(std_normal_cdf(z), _TINY))
+    log_pdf = -0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
+    for array in (weights, log_cdf, log_pdf):
+        array.flags.writeable = False
+    return weights, log_cdf, log_pdf
+
+
+def _order_stat_means(k, m, cfg: QuadratureConfig, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """E[X_(k:m)] of m standard normals and its error estimate, for each
+    pair of the integer arrays 1 <= k <= m (see the module docstring).
+
+    A pair leaves the loop at the first level that meets its own budget,
+    and every sum runs over its own row, so its value does not depend on
+    the other pairs in the call.  Raises QuadratureError, naming ``what``
+    and the largest failing estimate, if any estimate exceeds 10 times
+    its pair's budget.
+    """
+    k, m = np.asarray(k), np.asarray(m)
+    log_c = np.array([math.lgamma(size + 1) - math.lgamma(r) - math.lgamma(size - r + 1)
+                      for r, size in zip(k.tolist(), m.tolist())])[:, None]
+    below, above = (k - 1)[:, None], (m - k)[:, None]
+    value, abserr, budget = ([0.0] * k.size for _ in range(3))
+    todo = list(range(k.size))
+    for level in range(_FIRST_LEVEL, _LAST_LEVEL + 1):
+        weights, log_cdf, log_pdf = _nodes(cfg.integration_bound, level)
+        log_f = below * log_cdf
+        log_f += above * log_cdf[::-1]
+        log_f += log_pdf
+        log_f += log_c
+        # Elementwise sums, unlike a BLAS matrix product, give the same
+        # bits with any BLAS build.
+        sums = np.add.reduce(np.exp(log_f, out=log_f)[:, None] * weights, axis=2)
+        still_open = []
+        for i, (mass, change, floor, fine) in zip(todo, sums.tolist()):
+            value[i] = fine
+            abserr[i] = max(abs(mass - 1.0), abs(change), floor)
+            budget[i] = max(cfg.abs_tol, cfg.rel_tol * abs(fine))
+            still_open.append(abserr[i] > budget[i])
+        if not any(still_open):
+            break
+        if not all(still_open):
+            todo = [i for i, keep in zip(todo, still_open) if keep]
+            below, above, log_c = below[still_open], above[still_open], log_c[still_open]
+    # Beyond +-b the density is at most m phi(z), and phi(b) is the
+    # density at the last node.
+    tail = 2 * math.exp(log_pdf[-1])
+    abserr = [e + tail * size for e, size in zip(abserr, m.tolist())]
+    failed = [e for e, limit in zip(abserr, budget) if e > 10 * limit]
+    if failed:
+        raise QuadratureError(
+            f"{what}: error estimate {max(failed):.3e} exceeds budget "
+            f"(abs_tol={cfg.abs_tol:.1e}, rel_tol={cfg.rel_tol:.1e})"
+        )
+    return np.array(value), np.array(abserr)
 
 
 def _check_sample_size(n: int, what: str) -> None:
@@ -159,28 +244,11 @@ def _check_sample_size(n: int, what: str) -> None:
 
 
 def expected_range(n: int, cfg: QuadratureConfig = QuadratureConfig()) -> float:
-    """Expected range of n standard normal observations, by the
-    trapezoid rule with step halving (see the module docstring)."""
+    """Expected range of n standard normal observations, 2 E[X_(n:n)] by
+    the order-statistic quadrature (see the module docstring)."""
     _check_sample_size(n, "range")
-    value = math.inf
-    for level in range(_FIRST_LEVEL, _LAST_LEVEL + 1):
-        h, zpdf, cdf = _range_nodes(cfg.integration_bound, level)
-        f = n * zpdf * (cdf ** (n - 1) - cdf[::-1] ** (n - 1))
-        previous, value = value, float(h * (f.sum() - 0.5 * (f[0] + f[-1])))
-        # Two sums can agree to the last bit; the estimate is kept above
-        # their rounding error, as in QUADPACK (f >= 0, so the sum of
-        # |f| is the value).
-        abserr = max(abs(value - previous), 50 * _EPS * value)
-        budget = max(cfg.abs_tol, cfg.rel_tol * abs(value))
-        if abserr <= budget:
-            break
-    abserr += 2 * n * std_normal_pdf(cfg.integration_bound)
-    if abserr > 10 * budget:
-        raise QuadratureError(
-            f"expected_range(n={n}): error estimate {abserr:.3e} exceeds budget "
-            f"(abs_tol={cfg.abs_tol:.1e}, rel_tol={cfg.rel_tol:.1e})"
-        )
-    return value
+    means, _ = _order_stat_means([n], [n], cfg, f"expected_range(n={n})")
+    return 2.0 * float(means[0])
 
 
 # Per convention: sample size at table index n, fractional rank of
@@ -275,6 +343,30 @@ def expected_iqr(n: int, cfg: McConfig = McConfig()) -> tuple[float, float]:
     mean = total / reps
     var = max(total_sq / reps - mean * mean, 0.0)
     return mean, math.sqrt(var / reps)
+
+
+def expected_iqr_exact(
+    n: int,
+    convention: QuantileConvention = QuantileConvention.QUARTER_GROUPS,
+    cfg: QuadratureConfig = QuadratureConfig(),
+) -> tuple[float, float]:
+    """Exact expected IQR of n normals under ``convention``: (value,
+    error estimate).
+
+    The sample IQR is the weighted sum of order statistics that
+    ``_iqr_weights`` gives, the table :func:`expected_iqr` samples, so
+    its expectation is the same sum of order-statistic means, each from
+    the quadrature of the module docstring.
+    """
+    _check_sample_size(n, "IQR")
+    _check_convention(convention)
+    m, weights = _iqr_weights(n, convention)
+    means, abserr = _order_stat_means(
+        list(weights), [m] * len(weights), cfg,
+        f"expected_iqr_exact(n={n}, convention={convention.value})")
+    value = sum(w * mean for w, mean in zip(weights.values(), means.tolist()))
+    error = sum(abs(w) * e for w, e in zip(weights.values(), abserr.tolist()))
+    return value, error
 
 
 @dataclass

@@ -29,7 +29,6 @@ __all__ = [
     "fit_epsilon_linear",
     "fit_epsilon_quadratic",
     "fit_delta",
-    "central_difference",
 ]
 
 # Two-sided 0.001 critical value of the standard normal; used only to
@@ -179,12 +178,3 @@ def fit_delta(series: ResidualSeries) -> RegressionFit:
     design = np.column_stack([np.ones(len(series.ns)), np.log(series.ns.astype(float))])
     return ols(design, series.values, ("a", "b"))
 
-
-def central_difference(series: ResidualSeries) -> list[tuple[int, float]]:
-    """Discrete derivative (f(n+1) - f(n-1)) / 2 on the interior points."""
-    if len(series.ns) < 3:
-        raise ValueError("need at least three consecutive points")
-    if np.any(np.diff(series.ns) != 1):
-        raise ValueError("series must cover consecutive n")
-    deriv = (series.values[2:] - series.values[:-2]) / 2.0
-    return [(int(n), float(d)) for n, d in zip(series.ns[1:-1], deriv)]

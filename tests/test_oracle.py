@@ -18,7 +18,9 @@ from summarysd.oracle import (
     QuantileConvention,
     _chunk_iqr,
     _iqr_weights,
+    _order_stat_means,
     expected_iqr,
+    expected_iqr_exact,
     expected_range,
     regenerate_tables,
 )
@@ -28,7 +30,12 @@ TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 def order_stat_mean(k: int, m: int, tol: float = 1e-12) -> float:
     """E[X_(k:m)] of m standard normals, by quadrature of z times the
-    density of the k-th order statistic."""
+    density of the k-th order statistic.
+
+    Used only up to m = 201, the quarter-groups sample size at n = 50.
+    Its one break point is 0, so for larger m the adaptive rule can miss
+    the narrow peak of an off-centre order statistic: it returns 2.7e-13
+    for E[X_(4801:6401)], whose true value is about 0.67434."""
     log_c = special.gammaln(m + 1) - special.gammaln(k) - special.gammaln(m - k + 1)
 
     def f(z):
@@ -131,28 +138,33 @@ class TestExpectedRange:
 
 
 def _expected(which, n):
-    """``expected_range(n)`` or ``expected_iqr(n)``, by name."""
+    """``expected_range(n)``, ``expected_iqr(n)`` or ``expected_iqr_exact(n)``, by name."""
     if which == "range":
         return expected_range(n)
+    if which == "exact IQR":
+        return expected_iqr_exact(n)
     return expected_iqr(n, McConfig(replications=10_000))
 
 
 class TestSampleSize:
-    """The one n rule that expected_range and expected_iqr share."""
+    """The one n rule that expected_range, expected_iqr and
+    expected_iqr_exact share; both IQRs name it the same way."""
 
     # The IQR cases keep their bare ids.
     @pytest.mark.parametrize("which, n", [
         pytest.param(which, n, id=f"{prefix}{n}")
-        for which, prefix in (("IQR", ""), ("range", "range-"))
+        for which, prefix in (("IQR", ""), ("range", "range-"), ("exact IQR", "exact-"))
         for n in (5.5, 5.0, True, "5", math.nan, math.inf)
     ])
     def test_n_must_be_an_integer(self, which, n):
-        with pytest.raises(ValueError, match=rf"^expected {which} needs an integer n, got {re.escape(repr(n))}$"):
+        what = which.removeprefix("exact ")
+        with pytest.raises(ValueError, match=rf"^expected {what} needs an integer n, got {re.escape(repr(n))}$"):
             _expected(which, n)
 
     def test_n_below_2_keeps_its_reason(self):
-        for which in ("IQR", "range"):
-            with pytest.raises(ValueError, match=rf"^expected {which} defined for n >= 2, got 1$"):
+        for which in ("IQR", "range", "exact IQR"):
+            what = which.removeprefix("exact ")
+            with pytest.raises(ValueError, match=rf"^expected {what} defined for n >= 2, got 1$"):
                 _expected(which, 1)
 
 
@@ -288,10 +300,58 @@ class TestExpectedIqr:
         with pytest.raises(ValueError, match=message):
             McConfig(replications=10_000, quantile_convention="type7")
         with pytest.raises(ValueError, match=message):
+            expected_iqr_exact(5, "type7")
+        with pytest.raises(ValueError, match=message):
             regenerate_tables(McConfig(replications=10_000), 2, 2, "eta", conventions=("type7",))
         with pytest.raises(ValueError, match=r"^conventions must name at least one "
                                              r"QuantileConvention, got \(\)$"):
             regenerate_tables(McConfig(replications=10_000), 2, 2, "eta", conventions=())
+
+
+class TestExpectedIqrExact:
+    """The order-statistic kernel and the exact expected IQR built on it."""
+
+    @pytest.mark.parametrize("conv", list(QuantileConvention), ids=lambda c: c.value)
+    @pytest.mark.parametrize("n", range(2, 51))
+    def test_matches_scipy_order_statistics(self, conv, n):
+        value, abserr = expected_iqr_exact(n, conv)
+        assert abs(value - exact_iqr(n, conv)) <= 1e-12
+        # Each of at most four ranks meets a budget of about 1e-9, and
+        # the last two levels' difference overstates the error.
+        assert 0 < abserr <= 1e-8
+
+    def test_a_pair_gives_the_same_bits_alone_and_batched(self):
+        # Every (rank, m) that some convention reads at n = 2..50.
+        pairs = [(r, m) for conv in QuantileConvention for n in range(2, 51)
+                 for m, weights in [_iqr_weights(n, conv)] for r in weights]
+        cfg = QuadratureConfig()
+        ranks, sizes = zip(*pairs)
+        batched, batched_err = _order_stat_means(ranks, sizes, cfg, "batch")
+        for i, (k, m) in enumerate(zip(ranks, sizes)):
+            alone, alone_err = _order_stat_means([k], [m], cfg, "alone")
+            assert (alone[0], alone_err[0]) == (batched[i], batched_err[i]), (k, m)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 50, 201])
+    def test_mirror_ranks_have_opposite_means(self, m):
+        ranks = np.arange(1, m + 1)
+        means, _ = _order_stat_means(ranks, np.full(m, m), QuadratureConfig(), "mirror")
+        budget = np.maximum(1e-9, 1e-9 * np.abs(means))
+        assert np.all(np.abs(means + means[::-1]) <= budget)
+
+    def test_mass_guard_rejects_a_peak_between_the_nodes(self):
+        # X_(2401:3201) has sd 0.014: at 2^3 and 2^4 panels on [-8, 8] its
+        # peak falls between the nodes, so both sums are about 0 and agree.
+        # Only the density's mass shows the miss; the loop goes on to 2^11
+        # panels.  The reference is 30-digit mpmath quadrature.
+        means, _ = _order_stat_means([2401], [3201], QuadratureConfig(integration_bound=8.0), "peak")
+        assert abs(means[0] - 0.674193844448379) <= 1e-9
+
+    def test_unreachable_tolerance_raises(self):
+        cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
+        with pytest.raises(QuadratureError, match=(
+                r"^expected_iqr_exact\(n=5, convention=quarter-groups\): error estimate \S+ "
+                r"exceeds budget \(abs_tol=1\.0e-300, rel_tol=1\.0e-300\)$")):
+            expected_iqr_exact(5, cfg=cfg)
 
 
 class TestRegeneration:

@@ -15,7 +15,6 @@ from summarysd.refit import (
     ResidualKind,
     ResidualSeries,
     SingularDesignError,
-    central_difference,
     fit_delta,
     fit_epsilon_linear,
     fit_epsilon_quadratic,
@@ -155,38 +154,6 @@ class TestDeltaFit:
     def test_wrong_kind_rejected(self):
         with pytest.raises(ValueError):
             fit_delta(residual_series(ResidualKind.EPSILON))
-
-
-class TestCentralDifference:
-    def test_constant_series(self):
-        s = ResidualSeries(ResidualKind.DELTA, np.arange(2, 12), np.full(10, 0.3))
-        assert all(d == 0.0 for _, d in central_difference(s))
-
-    def test_affine_series_exact(self):
-        ns = np.arange(2, 12)
-        s = ResidualSeries(ResidualKind.DELTA, ns, 0.25 * ns + 1.0)
-        assert all(d == pytest.approx(0.25, abs=1e-15) for _, d in central_difference(s))
-
-    def test_delta_series_shape(self):
-        pts = central_difference(residual_series(ResidualKind.DELTA))
-        assert len(pts) == 47
-        assert pts[0][0] == 3
-        assert pts[-1][0] == 49
-
-    def test_inverse_derivative_roughly_linear(self):
-        # 1/derivative vs n tracks a line while the table's 3-decimal
-        # rounding is small relative to the increments (n <= 25); beyond
-        # that the rounding noise dominates the tail.
-        pts = central_difference(residual_series(ResidualKind.DELTA))
-        ns = np.array([n for n, _ in pts if n <= 25])
-        inv = np.array([1.0 / d for n, d in pts if n <= 25])
-        r = np.corrcoef(ns, inv)[0, 1]
-        assert r > 0.9
-
-    def test_too_short(self):
-        s = ResidualSeries(ResidualKind.DELTA, np.arange(2, 4), np.zeros(2))
-        with pytest.raises(ValueError):
-            central_difference(s)
 
 
 class TestLoopClosure:
