@@ -67,16 +67,11 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _check_cutoff(cutoff: int, order: CorrectionOrder) -> None:
+def _check_cutoff(cutoff: int) -> None:
     try:
         check_cutoff(cutoff)
     except ValueError as exc:
         raise FatalCliError(f"--{exc}")
-    if order is CorrectionOrder.SECOND and cutoff > PIECEWISE_CUTOFF:
-        raise FatalCliError(
-            f"--correction second is defined for n <= {PIECEWISE_CUTOFF}, "
-            f"so --cutoff must not exceed it, got {cutoff}"
-        )
 
 
 def _parse_cell(col: str, raw: str):
@@ -303,7 +298,7 @@ def _chunk_output(lines, ids, problems, est, seen_ids, fmt, template) -> tuple[s
 def cmd_estimate(args) -> int:
     order = CorrectionOrder(args.correction)
     override = Scenario(args.scenario) if args.scenario else None
-    _check_cutoff(args.cutoff, order)
+    _check_cutoff(args.cutoff)
 
     try:
         # utf-8-sig drops the byte-order mark that spreadsheets put
@@ -379,7 +374,7 @@ def _write_output(fh, text: str) -> None:
 def cmd_tables(args) -> int:
     n_min, n_max = _parse_range(args.range)
     order = CorrectionOrder(args.correction)
-    _check_cutoff(args.cutoff, order)
+    _check_cutoff(args.cutoff)
     kind = DIVISORS[args.which]
     table = tables.load_tables()[kind.table]
     out = sys.stdout
@@ -453,21 +448,22 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    corrections = [order.value for order in CorrectionOrder]
 
     p_est = sub.add_parser("estimate", help="estimate moments for each row of a CSV")
     p_est.add_argument("input", help="CSV with header study_id,n,min,q1,median,q3,max")
-    p_est.add_argument("--correction", choices=["none", "first", "second"], default="first")
-    p_est.add_argument("--scenario", choices=["c1", "c2", "c3"], default=None)
+    p_est.add_argument("--correction", choices=corrections, default="first")
+    p_est.add_argument("--scenario", choices=[sc.value for sc in SCENARIOS], default=None)
     p_est.add_argument("--cutoff", type=int, default=PIECEWISE_CUTOFF,
                        help="sample size above which corrections switch off "
-                            "(values other than 50 are experimental)")
-    p_est.add_argument("--format", choices=["csv", "tsv", "jsonl"], default="csv")
+                            f"(values other than {PIECEWISE_CUTOFF} are experimental)")
+    p_est.add_argument("--format", choices=list(_FLAGS), default="csv")
     p_est.set_defaults(func=cmd_estimate)
 
     p_tab = sub.add_parser("tables", help="reference table vs. formula values")
-    p_tab.add_argument("--which", choices=["xi", "eta"], default="xi")
+    p_tab.add_argument("--which", choices=list(DIVISORS), default="xi")
     p_tab.add_argument("--range", default="2:50", metavar="A:B")
-    p_tab.add_argument("--correction", choices=["none", "first", "second"], default="first")
+    p_tab.add_argument("--correction", choices=corrections, default="first")
     p_tab.add_argument("--cutoff", type=int, default=PIECEWISE_CUTOFF)
     p_tab.set_defaults(func=cmd_tables)
 

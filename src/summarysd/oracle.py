@@ -264,7 +264,6 @@ _QUARTILE_RANKS = {
 
 # The closed interval just inside (0, 1), which the quantile accepts.
 _OPEN_UNIT = (np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
-_TINY = np.finfo(float).tiny
 
 
 def _iqr_weights(n: int, conv: QuantileConvention) -> tuple[int, dict[int, float]]:

@@ -52,10 +52,6 @@ class ResidualSeries:
     ns: np.ndarray
     values: np.ndarray
 
-    def restricted(self, n_min: int, n_max: int) -> "ResidualSeries":
-        mask = (self.ns >= n_min) & (self.ns <= n_max)
-        return ResidualSeries(self.kind, self.ns[mask], self.values[mask])
-
 
 @dataclass(frozen=True)
 class Coefficient:
@@ -164,7 +160,8 @@ def fit_epsilon_linear(series: ResidualSeries) -> RegressionFit:
 
 def fit_epsilon_quadratic(series: ResidualSeries) -> RegressionFit:
     """Quadratic variant on n = 3..PIECEWISE_CUTOFF, centred at EPSILON2_CENTER."""
-    series = series.restricted(3, PIECEWISE_CUTOFF)
+    keep = (series.ns >= 3) & (series.ns <= PIECEWISE_CUTOFF)
+    series = ResidualSeries(series.kind, series.ns[keep], series.values[keep])
     y = _epsilon_transform(series)
     c = series.ns.astype(float) - EPSILON2_CENTER
     design = np.column_stack([np.ones_like(y), c, c * c])

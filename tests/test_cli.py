@@ -6,11 +6,18 @@ import subprocess
 import sys
 from importlib import resources
 
+import numpy as np
 import pytest
 
 import scalar_reference as ref
 from summarysd.cli import main
-from summarysd.estimators import CorrectionOrder
+from summarysd.estimators import (
+    SCENARIOS,
+    CorrectionOrder,
+    blom_iqr_divisor,
+    estimate_columns,
+    eta_hat,
+)
 
 SAMPLE_CSV = """study_id,n,min,q1,median,q3,max
 alpha,10,0,,4,,10
@@ -377,11 +384,6 @@ class TestOracle:
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["--cutoff", "1"], "--cutoff must be >= 2, got 1", id="1"),
     pytest.param(["--cutoff", "-5"], "--cutoff must be >= 2, got -5", id="-5"),
-    pytest.param(
-        ["--correction", "second", "--cutoff", "51"],
-        "--correction second is defined for n <= 50, so --cutoff must not exceed it, got 51",
-        id="second-51",
-    ),
 ])
 @pytest.mark.parametrize("command", ["estimate", "tables"])
 def test_bad_cutoff_is_fatal(capsys, sample_file, command, argv, message):
@@ -392,6 +394,49 @@ def test_bad_cutoff_is_fatal(capsys, sample_file, command, argv, message):
     code, out, err = run(capsys, command, *argv)
     assert code == 2
     assert (out, err) == ("", f"error: {message}\n")
+
+
+def test_second_order_cutoff_above_50_follows_the_library(capsys, tmp_path):
+    # The CLI checks --cutoff only as check_cutoff does: under a second-order
+    # cutoff above 50, the IQR rows with no divisor are row errors.
+    ns = [2, 50, 51, 60, 61]
+    patterns = {"c1": "0,,4,,10", "c2": "0,2,4,6,10", "c3": ",2,4,6,"}
+    path = tmp_path / "studies.csv"
+    path.write_text("study_id,n,min,q1,median,q3,max\n" + "".join(
+        f"{sc}-{n},{n},{cells}\n" for sc, cells in patterns.items() for n in ns
+    ))
+    ids = [f"{sc}-{n}" for sc in patterns for n in ns]
+    values = np.array([[float(x) if x else np.nan for x in patterns[sc].split(",")]
+                       for sc in patterns for _ in ns]).T
+    est = estimate_columns(np.array(ns * 3), values, CorrectionOrder.SECOND, cutoff=60)
+    assert sorted(est.errors) == [5, 7, 8, 10, 12, 13]
+    code, out, err = run(capsys, "estimate", str(path), "--correction", "second",
+                         "--cutoff", "60")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        f"{ids[i]},{SCENARIOS[est.scenario[i]].value},{est.mean[i]:.6g},{est.sd[i]:.6g},"
+        f"{est.divisor[i]:.6g},second,{int(est.degenerate[i])}"
+        for i in range(len(ids)) if i not in est.errors
+    ]
+    assert err == "".join(
+        f"error: line {i + 2} ({ids[i]}): {reason}\n" for i, reason in sorted(est.errors.items())
+    )
+
+    code, out, err = run(capsys, "tables", "--which", "eta", "--correction", "second",
+                         "--cutoff", "60", "--range", "49:61")
+    assert (code, err) == (0, "")
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(49, 62))
+    for n, (_, tab, asym, corrected, residual) in zip(range(49, 62), rows):
+        assert asym == format(blom_iqr_divisor(n), ".6g")
+        if 51 <= n <= 60:
+            with pytest.raises(ValueError, match=f"3 <= n <= 50, got {n}"):
+                eta_hat(n, CorrectionOrder.SECOND, 60)
+            assert (corrected, residual) == ("", "")
+        else:
+            value = eta_hat(n, CorrectionOrder.SECOND, 60)
+            assert corrected == format(value, ".6g")
+            assert residual == (format(float(tab) - value, ".6g") if n <= 50 else "")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -271,7 +271,8 @@ def test_cutoff_and_second_order_errors_name_the_row(capsys, tmp_path):
 
 
 def test_second_order_beyond_its_domain_is_a_row_error():
-    # Only the Python API accepts a second-order cutoff above 50.
+    # A second-order cutoff above 50 is accepted, here as by the CLI; the
+    # rows it cannot correct are row errors.
     n = np.array([2, 3, 50, 51, 60, 61])
     values = np.array([[np.nan] * 6, [1.0] * 6, [2.0] * 6, [3.0] * 6, [np.nan] * 6])
     est = estimate_columns(n, values, CorrectionOrder.SECOND, cutoff=60)

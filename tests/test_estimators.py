@@ -196,6 +196,11 @@ class TestCorrections:
         with pytest.raises(ValueError):
             epsilon_hat(51, SECOND)
 
+    @pytest.mark.parametrize("order", [NONE, "first"], ids=["none", "str"])
+    def test_epsilon_order_must_be_first_or_second(self, order):
+        with pytest.raises(ValueError, match="^epsilon correction order must be FIRST or SECOND$"):
+            epsilon_hat(10, order)
+
 
 class TestDivisors:
     def test_xi_hat_near_table(self):

@@ -93,6 +93,10 @@ class TestOls:
         with pytest.raises(ValueError):
             ols(np.ones((2, 2)), np.ones(2), ("a", "b"))
 
+    def test_one_name_per_column(self):
+        with pytest.raises(ValueError, match="^one name per design column required$"):
+            ols(np.ones((5, 2)), np.ones(5), ("a",))
+
 
 class TestEpsilonFits:
     def test_linear_coefficients(self):

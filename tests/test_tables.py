@@ -55,6 +55,29 @@ class TestFixture:
         vals = [eta_table(n) for n in range(1, 51)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    def test_table_needs_50_entries(self):
+        with pytest.raises(ValueError, match="^expected 50 entries, got 49$"):
+            tables.DivisorTable("xi", (0.0,) * 49)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda rows: [rows[1], rows[0], *rows[2:]],
+         r"fixture must cover n = 1\.\.50 exactly, in order"),
+        (lambda rows: [(1, 0.5, rows[0][2]), *rows[1:]], r"xi\(1\) must be exactly 0"),
+        (lambda rows: [*rows[:2], (3, rows[1][1], rows[2][2]), *rows[3:]],
+         "xi must be strictly increasing for n >= 2"),
+        (lambda rows: [*rows[:10], (11, rows[10][1], rows[9][2] - 0.001), *rows[11:]],
+         "eta must be non-decreasing"),
+    ], ids=["n-order", "xi-1", "xi-increasing", "eta-non-decreasing"])
+    def test_corrupt_fixture_rejected(self, monkeypatch, corrupt, message):
+        rows = tables._read_fixture()
+        load_tables.cache_clear()
+        monkeypatch.setattr(tables, "_read_fixture", lambda: corrupt(rows))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_tables()
+        # The cache keeps no exception, so the real fixture loads next.
+        monkeypatch.undo()
+        assert xi_table(2) == 1.128
+
     @pytest.mark.parametrize("n", [0, 51, -3, True, 3.0, 2.5])
     def test_lookup_errors(self, n):
         with pytest.raises(KeyError, match=f"^'xi table covers n in 1..50, got {n}'$"):
