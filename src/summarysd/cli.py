@@ -181,16 +181,32 @@ def _splits_plainly(block: list[str], text: str, width: int) -> bool:
     return True
 
 
-def _read_chunk(fh, line: int, width: int, picks: list[int | None]):
-    """Read and parse up to CHUNK_ROWS data rows of ``fh``, which is
-    past line ``line`` of a file whose header has ``width`` columns and
+def _next_block(fh, width: int) -> tuple[list[str], str | None]:
+    """The next CHUNK_ROWS lines of ``fh`` (fewer at its end), whose
+    header has ``width`` columns, and their text when they split plainly
+    (see :func:`_splits_plainly`), or None."""
+    block = list(islice(fh, CHUNK_ROWS))
+    text = "".join(block)
+    return block, text if _splits_plainly(block, text, width) else None
+
+
+def _full_and_plain(block: list[str], text: str | None) -> bool:
+    """Whether a block of :func:`_next_block` may go to the worker."""
+    return text is not None and len(block) == CHUNK_ROWS
+
+
+def _read_chunk(fh, block, text, line: int, width: int, picks: list[int | None]):
+    """Parse a chunk of data rows from the lines ``block`` of ``fh``, as
+    :func:`_next_block` gives them with their ``text``, which start
+    after line ``line`` of a file whose header has ``width`` columns and
     holds each of INPUT_COLUMNS at the index in ``picks`` (None if it
     does not).
 
-    The next CHUNK_ROWS lines are cut at commas and line ends when that
-    reads them as ``csv.reader`` would, and go through ``csv.reader``
-    otherwise, which reads on from ``fh`` for a quoted field that runs
-    past them or for the rows of skipped blank lines.
+    Lines that split plainly are cut at commas and line ends, which
+    reads them as ``csv.reader`` would, and need neither ``block`` nor
+    ``fh``.  Other lines go through ``csv.reader``, which reads on from
+    ``fh`` for a quoted field that runs past them or for the rows of
+    skipped blank lines, up to CHUNK_ROWS rows.
 
     Returns the physical line number and study id of each row, the
     rows whose cells do not parse (index -> reason), the n and value
@@ -200,13 +216,11 @@ def _read_chunk(fh, line: int, width: int, picks: list[int | None]):
     row are empty.  A row with a cell past the header's width that is
     not blank is an error, whose reason comes before those of its cells.
     """
-    block = list(islice(fh, CHUNK_ROWS))
-    text = "".join(block)
     problems, error = {}, None
-    if _splits_plainly(block, text, width):
+    if text is not None:
         cells = text.replace("\n", ",").split(",")  # ends in one empty cell
         columns = [cells[j:-1:width] for j in range(width)]
-        lines = range(line + 1, line + 1 + len(block))
+        lines = range(line + 1, line + 1 + len(cells) // width)
         underscores = "_" in text
     else:
         rows, lines, error = _read_rows(csv.reader(chain(block, fh)), CHUNK_ROWS, line)
@@ -295,6 +309,107 @@ def _chunk_output(lines, ids, problems, est, seen_ids, fmt, template) -> tuple[s
     return "".join(map(template.__mod__, rows)), err
 
 
+class _Worker:
+    """A forked process that runs ``job`` on each task sent to it, one
+    at a time, and sends back its result.
+
+    It can start only where ``os.fork`` exists, the process may run on
+    two CPUs or more and runs no second thread; the first :meth:`send`
+    starts it.  Once a task cannot be sent, a result does not come back
+    or the start fails, ``usable`` is false and stays so: the caller
+    does the work itself.
+    """
+
+    def __init__(self, job):
+        import threading
+
+        self.job = job
+        self.pid = None
+        self.usable = (
+            hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1
+        )
+
+    def _start(self) -> None:
+        import pickle
+        import warnings
+
+        self.usable = False
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            # On Python 3.12 and later, fork warns when the process has
+            # a second OS thread, as numpy's OpenBLAS pool is.  OpenBLAS
+            # re-initialises through its own atfork handler, and the
+            # worker calls no BLAS routine.
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
+                                        DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            return
+        task_in, task_out, result_in, result_out = fds
+        if pid == 0:
+            # Never return into the caller, nor flush the stdout buffer
+            # it shares, run its exit hooks or print a traceback.
+            try:
+                os.close(task_out)
+                os.close(result_in)
+                tasks, results = open(task_in, "rb"), open(result_out, "wb")
+                with contextlib.suppress(EOFError):
+                    while True:
+                        pickle.dump(self.job(*pickle.load(tasks)), results, pickle.HIGHEST_PROTOCOL)
+                        results.flush()
+            finally:
+                os._exit(0)
+        self.pid = pid
+        os.close(task_in)
+        os.close(result_out)
+        self.tasks, self.results = open(task_out, "wb"), open(result_in, "rb")
+        self.usable = True
+
+    def send(self, *task) -> bool:
+        """Send the worker ``task``, starting it first if need be;
+        whether it took the task."""
+        import pickle
+
+        if self.usable and self.pid is None:
+            self._start()
+        if self.usable:
+            try:
+                pickle.dump(task, self.tasks, pickle.HIGHEST_PROTOCOL)
+                self.tasks.flush()
+            except OSError:
+                self.usable = False
+        return self.usable
+
+    def receive(self):
+        """The result of the task sent last, or None if the worker died."""
+        import pickle
+
+        try:
+            return pickle.load(self.results)
+        except (EOFError, pickle.UnpicklingError):
+            self.usable = False
+            return None
+
+    def close(self) -> None:
+        """End the worker and wait for it.  Both pipes close first: the
+        worker may be blocked writing a result that will not be read."""
+        if self.pid is None:
+            return
+        for pipe in (self.tasks, self.results):
+            with contextlib.suppress(OSError):  # a task left in the buffer
+                pipe.close()
+        with contextlib.suppress(ChildProcessError):  # reaped already, as under SIGCHLD ignored
+            os.waitpid(self.pid, 0)
+
+
 def cmd_estimate(args) -> int:
     order = CorrectionOrder(args.correction)
     override = Scenario(args.scenario) if args.scenario else None
@@ -330,21 +445,76 @@ def cmd_estimate(args) -> int:
         if args.format != "jsonl":
             sys.stdout.write(SEPARATORS[args.format].join(OUTPUT_COLUMNS) + "\n")
         template = _row_template(args.format, order)
-        seen_ids: set[str] = set()
+        width = len(header)
         divisor_memo: dict = {}
-        line = reader.line_num
-        while True:
-            lines, ids, problems, n, values, error = _read_chunk(fh, line, len(header), picks)
+
+        def run_chunk(block, text, line, seen_ids):
+            """One chunk read with :func:`_read_chunk`, estimated and
+            formatted: its line numbers and ids, its stdout and stderr
+            text, and why the reading stopped early, or None."""
+            lines, ids, problems, n, values, error = _read_chunk(fh, block, text, line, width, picks)
+            out = err = ""
             if ids:
                 est = estimate_columns(n, values, order, override, args.cutoff, divisor_memo)
                 out, err = _chunk_output(lines, ids, problems, est, seen_ids, args.format, template)
-                sys.stdout.write(out)
-                sys.stderr.write(err)
-            if error is not None:
-                raise FatalCliError(f"{args.input}: {error}")
-            if len(ids) < CHUNK_ROWS:
-                break
-            line = lines[-1]  # a full chunk ends on its last row's last line
+            return lines, ids, out, err, error
+
+        def run_plain_chunk(text, line):
+            """A chunk of plain ``text`` run as if no id had been seen
+            before it, which is exact when none of its ids had been: its
+            ids, stdout and stderr text, and the ids it counts as seen."""
+            new_ids: set[str] = set()
+            _, ids, out, err, _ = run_chunk(None, text, line, new_ids)
+            return ids, out, err, new_ids
+
+        def read_ahead() -> list:
+            """The next block and, if that is a full plain one, the one
+            after it: no other block reads on from ``fh``."""
+            ahead = [_next_block(fh, width)]
+            if _full_and_plain(*ahead[0]):
+                ahead.append(_next_block(fh, width))
+            return ahead
+
+        # Two full plain blocks at a time go to two processes: the
+        # second to the worker, the first here.  The output is written
+        # in file order, each chunk's stdout then its stderr.
+        worker = _Worker(run_plain_chunk)
+        seen_ids: set[str] = set()
+        line = reader.line_num
+        pending: list = []  # blocks read after the one at hand
+        try:
+            while True:
+                block, text = pending.pop(0) if pending else _next_block(fh, width)
+                if worker.usable and _full_and_plain(block, text):
+                    pending = pending or [_next_block(fh, width)]
+                    second = pending[0][1]
+                    if _full_and_plain(*pending[0]) and worker.send(second, line + CHUNK_ROWS):
+                        _, _, out, err, _ = run_chunk(None, text, line, seen_ids)
+                        sys.stdout.write(out)
+                        sys.stderr.write(err)
+                        block = text = None
+                        pending = read_ahead()  # while the worker runs
+                        result = worker.receive()
+                        if result is not None and seen_ids.isdisjoint(result[0]):
+                            _, out, err, new_ids = result
+                            seen_ids |= new_ids
+                        else:
+                            _, _, out, err, _ = run_chunk(None, second, line + CHUNK_ROWS, seen_ids)
+                        sys.stdout.write(out)
+                        sys.stderr.write(err)
+                        line += 2 * CHUNK_ROWS
+                        continue
+                lines, ids, out, err, error = run_chunk(block, text, line, seen_ids)
+                if ids:
+                    sys.stdout.write(out)
+                    sys.stderr.write(err)
+                if error is not None:
+                    raise FatalCliError(f"{args.input}: {error}")
+                if len(ids) < CHUNK_ROWS:
+                    break
+                line = lines[-1]  # a full chunk ends on its last row's last line
+        finally:
+            worker.close()
     return 0
 
 

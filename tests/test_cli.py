@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from importlib import resources
@@ -487,21 +488,44 @@ def test_import_leaves_scipy_integrate_out():
     assert res.stdout.strip() == "False"
 
 
-def test_closed_stdout_ends_quietly(tmp_path):
-    # As under `summarysd estimate big.csv | head -1`: the reader leaves
-    # while most of the output is still to be written.
+def start_alone(argv, **kwargs) -> subprocess.Popen:
+    """``summarysd ARGV`` started in a session of its own."""
     import summarysd
 
-    path = tmp_path / "big.csv"
-    rows = "".join(f"s{i},10,0,4,10\n" for i in range(20_000))
-    path.write_text("study_id,n,min,median,max\n" + rows)
     src = os.path.dirname(os.path.dirname(summarysd.__file__))
-    proc = subprocess.Popen([sys.executable, "-m", "summarysd.cli", "estimate", str(path)],
-                            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True)
+    env = dict(os.environ, PYTHONPATH=src, **kwargs.pop("env", {}))
+    return subprocess.Popen([sys.executable, "-m", "summarysd.cli", *argv], env=env,
+                            start_new_session=True, **kwargs)
+
+
+def finish_alone(proc: subprocess.Popen):
+    """``proc``'s stdout and stderr once it has exited, which must leave
+    no process of its session behind, such as the ``estimate`` worker."""
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.returncode is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    return out, err
+
+
+def big_csv(path, rows: int = 20_000):
+    path.write_text("study_id,n,min,median,max\n" + "".join(f"s{i},10,0,4,10\n" for i in range(rows)))
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # As under `summarysd estimate big.csv | head -1`: the reader leaves
+    # while most of the output is still to be written, and the worker
+    # is running.
+    big_csv(tmp_path / "big.csv")
+    proc = start_alone(["estimate", str(tmp_path / "big.csv")], stdout=subprocess.PIPE,
+                       stderr=subprocess.PIPE, text=True)
     assert proc.stdout.readline() == "study_id,scenario,mean,sd,divisor,correction,degenerate\n"
     proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
+    _, err = finish_alone(proc)
     assert (proc.returncode, err) == (1, "")
 
 
@@ -514,18 +538,44 @@ def test_closed_stdout_ends_quietly(tmp_path):
 ], ids=lambda argv: argv[0])
 def test_stdout_that_cannot_be_written_is_one_error(tmp_path, argv):
     # A write to /dev/full fails with ENOSPC, not with a closed pipe.
-    import summarysd
-
-    rows = "".join(f"s{i},10,0,4,10\n" for i in range(20_000))
-    (tmp_path / "big.csv").write_text("study_id,n,min,median,max\n" + rows)
-    src = os.path.dirname(os.path.dirname(summarysd.__file__))
+    big_csv(tmp_path / "big.csv")
     with open("/dev/full", "w") as full:
-        res = subprocess.run([sys.executable, "-m", "summarysd.cli", *argv], cwd=tmp_path,
-                             env=dict(os.environ, PYTHONPATH=src), stdout=full,
-                             stderr=subprocess.PIPE, text=True, timeout=60)
-    assert res.returncode == 2
-    assert res.stderr.startswith("error: [Errno 28] ")
-    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+        proc = start_alone(argv, cwd=tmp_path, stdout=full, stderr=subprocess.PIPE, text=True)
+    _, err = finish_alone(proc)
+    assert proc.returncode == 2
+    assert err.startswith("error: [Errno 28] ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_estimate_in_its_own_process_writes_each_row_once(capsys, tmp_path):
+    # The worker shares the buffer of the stdout file, which holds the
+    # header when it starts.
+    big_csv(tmp_path / "big.csv")
+    _, expected, _ = run(capsys, "estimate", str(tmp_path / "big.csv"))
+    with open(tmp_path / "out.csv", "w") as out:
+        proc = start_alone(["estimate", str(tmp_path / "big.csv")], env={"PYTHONUNBUFFERED": ""},
+                           stdout=out, stderr=subprocess.PIPE, text=True)
+    assert finish_alone(proc) == (None, "")
+    assert proc.returncode == 0
+    assert (tmp_path / "out.csv").read_text() == expected
+
+
+def test_fatal_error_after_the_worker_started_follows_every_earlier_row(capsys, tmp_path):
+    # Two plain 1024-line blocks go to two processes; the third block
+    # holds a byte that is not UTF-8 on line 3000.
+    big_csv(tmp_path / "before.csv", 2998)
+    _, before, _ = run(capsys, "estimate", str(tmp_path / "before.csv"))
+    path = tmp_path / "bad.csv"
+    big_csv(path)
+    text = path.read_bytes()
+    start = text.index(b"\ns2998,") + 1
+    path.write_bytes(text[:start] + b"\xff" + text[start:])
+    # Unbuffered, with stderr on stdout: the bytes come in the order written.
+    proc = start_alone(["estimate", str(path)], env={"PYTHONUNBUFFERED": "1"},
+                       stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    out, _ = finish_alone(proc)
+    assert proc.returncode == 2
+    assert out == before + f"error: {path}: line 3000: 'utf-8' codec can't decode byte 0xff\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")

@@ -10,9 +10,11 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import re
 import sys
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
@@ -232,7 +234,7 @@ def mixed_file(tmp_path_factory):
 @pytest.mark.parametrize("override", OVERRIDES)
 @pytest.mark.parametrize("correction", CORRECTIONS)
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_matches_per_row_reference(capsys, monkeypatch, mixed_file, fmt, correction, override):
+def test_matches_per_row_reference(capsys, monkeypatch, forks, mixed_file, fmt, correction, override):
     argv = ["estimate", str(mixed_file), "--format", fmt, "--correction", correction]
     if override:
         argv += ["--scenario", override]
@@ -241,9 +243,12 @@ def test_matches_per_row_reference(capsys, monkeypatch, mixed_file, fmt, correct
     exp_out, exp_err = reference(mixed_file.read_text(), fmt, correction, override)
     assert out == exp_out
     assert err == exp_err
-    # Chunks that split anywhere, between good and bad rows alike.
+    # Chunks that split anywhere, between good and bad rows alike, and
+    # that the worker process shares.
     monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+    forks.clear()
     assert run(capsys, *argv) == (0, out, err)
+    assert len(forks) == 1
 
 
 def test_mixed_file_covers_the_cases(capsys, mixed_file):
@@ -362,22 +367,15 @@ CHUNK = [
 
 @pytest.fixture
 def calls(monkeypatch):
-    """The cells ``_parse_cell`` read, as (column, cell), and the output
-    rows ``_chunk_output`` wrote for each chunk."""
-    taken = {"reparsed": [], "write": []}
-    parse_cell, chunk_output = cli._parse_cell, cli._chunk_output
+    """The cells ``_parse_cell`` read, as (column, cell)."""
+    taken = {"reparsed": []}
+    parse_cell = cli._parse_cell
 
     def cell(col, raw):
         taken["reparsed"].append((col, raw))
         return parse_cell(col, raw)
 
-    def output(*args):
-        out, err = chunk_output(*args)
-        taken["write"].append(out)
-        return out, err
-
     monkeypatch.setattr(cli, "_parse_cell", cell)
-    monkeypatch.setattr(cli, "_chunk_output", output)
     return taken
 
 
@@ -442,7 +440,7 @@ MEDIAN_ONLY = ["10", "", "", "4", "", ""]
 ])
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_chunks_with_empty_or_repeated_ids_are_written_by_row(
-    capsys, monkeypatch, tmp_path, calls, fmt, ids, first, write
+    capsys, monkeypatch, tmp_path, fmt, ids, first, write
 ):
     rows = [[sid.strip()] + (first if k == 0 else VALID) for k, sid in enumerate(ids)]
     path = tmp_path / "ids.csv"
@@ -454,9 +452,15 @@ def test_chunks_with_empty_or_repeated_ids_are_written_by_row(
             return json.loads(line)["study_id"]
         return line.split(cli.SEPARATORS[fmt])[0]
 
+    # Each text written to stdout: the header, if any, then the output
+    # rows of each chunk, whichever process ran it.
+    written = []
+    stdout_write = sys.stdout.write
+    monkeypatch.setattr(sys.stdout, "write", lambda text: written.append(text) or stdout_write(text))
     code, out, err = run(capsys, "estimate", str(path), "--format", fmt)
     assert code == 0
-    assert ["".join(map(study_id, chunk.splitlines())) for chunk in calls["write"]] == write
+    header = [] if fmt == "jsonl" else ["study_id"]
+    assert ["".join(map(study_id, chunk.splitlines())) for chunk in written] == header + write
     assert (out, err) == reference(path.read_text(), fmt, "first", None)
 
 
@@ -570,6 +574,7 @@ def test_plain_input_sends_only_the_header_through_csv_reader(capsys, monkeypatc
 def test_divisors_evaluated_once_per_distinct_n(capsys, monkeypatch, mixed_file):
     from summarysd import estimators
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one process
     passed = {"xi_hat": [], "eta_hat": []}
     chunks = []
     for name, arrays in passed.items():
@@ -592,6 +597,7 @@ def test_divisor_memo_keeps_only_n_below_limit(capsys, monkeypatch, mixed_file, 
     from summarysd import estimators
 
     expected = run(capsys, "estimate", str(mixed_file), "--format", fmt)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one process
     passed = {"xi_hat": [], "eta_hat": []}
     chunks = []
     for name, calls in passed.items():
@@ -609,6 +615,53 @@ def test_divisor_memo_keeps_only_n_below_limit(capsys, monkeypatch, mixed_file, 
         assert all(np.unique(ns).size == ns.size for _, ns in calls)
         small = np.concatenate([ns[ns < 8] for _, ns in calls])
         assert small.size == np.unique(small).size > 0
+
+
+def test_each_process_evaluates_a_divisor_once_per_distinct_n(
+    capsys, monkeypatch, tmp_path, forks, mixed_file
+):
+    from summarysd import estimators
+
+    log = tmp_path / "divisors.txt"  # a line per n evaluated, from either process
+    for name in ("xi_hat", "eta_hat"):
+        def spy(n, *args, _f=getattr(estimators, name), _name=name):
+            with open(log, "a") as fh:
+                fh.write("".join(f"{os.getpid()} {_name} {k}\n" for k in n.tolist()))
+            return _f(n, *args)
+
+        monkeypatch.setattr(estimators, name, spy)
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 10)
+    expected = (0, *reference(mixed_file.read_text(), "csv", "first", None))
+    assert run(capsys, "estimate", str(mixed_file)) == expected
+    evaluated = log.read_text().splitlines()
+    assert len(forks) == 1
+    assert len({line.split()[0] for line in evaluated}) == 2
+    assert len(set(evaluated)) == len(evaluated)
+
+
+@pytest.mark.parametrize("failure", ["worker-dies", "fork-fails"])
+def test_output_is_whole_when_the_worker_fails(capsys, monkeypatch, forks, mixed_file, failure):
+    if failure == "worker-dies":
+        pid = os.getpid()
+
+        def estimate(*args):
+            if os.getpid() != pid:
+                os._exit(1)
+            return estimate_columns(*args)
+
+        monkeypatch.setattr(cli, "estimate_columns", estimate)
+    else:
+        def fork():
+            forks.append(None)
+            raise OSError("fork failed")
+
+        monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+    expected = (0, *reference(mixed_file.read_text(), "jsonl", "first", None))
+    assert run(capsys, "estimate", str(mixed_file), "--format", "jsonl") == expected
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_one_row_views_agree_with_columns():
@@ -687,6 +740,25 @@ def test_n_that_is_not_an_integer_is_its_row_error(n, errors):
     assert est.invalid.tolist() == [r in errors for r in range(2)]
     for r in set(range(2)) - set(errors):  # estimated as if it were alone
         assert est.sd[r] == estimate_columns(np.array([n[r]]), values[:, :1]).sd[0]
+
+
+def test_fork_warning_about_threads_is_not_an_error(capsys, monkeypatch, forks, mixed_file):
+    # Python 3.12 and later warn so when the process has a second OS
+    # thread, as numpy's OpenBLAS pool is; warnings here are errors.
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+    expected = (0, *reference(mixed_file.read_text(), "csv", "first", None))
+    assert run(capsys, "estimate", str(mixed_file)) == expected
+    assert len(forks) == 1
 
 
 # Cells: anything on one line, plus the numbers and near-numbers that
