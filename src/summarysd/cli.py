@@ -467,17 +467,9 @@ def cmd_estimate(args) -> int:
             _, ids, out, err, _ = run_chunk(None, text, line, new_ids)
             return ids, out, err, new_ids
 
-        def read_ahead() -> list:
-            """The next block and, if that is a full plain one, the one
-            after it: no other block reads on from ``fh``."""
-            ahead = [_next_block(fh, width)]
-            if _full_and_plain(*ahead[0]):
-                ahead.append(_next_block(fh, width))
-            return ahead
-
-        # Two full plain blocks at a time go to two processes: the
-        # second to the worker, the first here.  The output is written
-        # in file order, each chunk's stdout then its stderr.
+        # When the block at hand and the next are full plain blocks, the
+        # next goes to the worker while this one runs here.  The output
+        # is written in file order, each chunk's stdout then its stderr.
         worker = _Worker(run_plain_chunk)
         seen_ids: set[str] = set()
         line = reader.line_num
@@ -485,25 +477,11 @@ def cmd_estimate(args) -> int:
         try:
             while True:
                 block, text = pending.pop(0) if pending else _next_block(fh, width)
+                sent = None
                 if worker.usable and _full_and_plain(block, text):
                     pending = pending or [_next_block(fh, width)]
-                    second = pending[0][1]
-                    if _full_and_plain(*pending[0]) and worker.send(second, line + CHUNK_ROWS):
-                        _, _, out, err, _ = run_chunk(None, text, line, seen_ids)
-                        sys.stdout.write(out)
-                        sys.stderr.write(err)
-                        block = text = None
-                        pending = read_ahead()  # while the worker runs
-                        result = worker.receive()
-                        if result is not None and seen_ids.isdisjoint(result[0]):
-                            _, out, err, new_ids = result
-                            seen_ids |= new_ids
-                        else:
-                            _, _, out, err, _ = run_chunk(None, second, line + CHUNK_ROWS, seen_ids)
-                        sys.stdout.write(out)
-                        sys.stderr.write(err)
-                        line += 2 * CHUNK_ROWS
-                        continue
+                    if _full_and_plain(*pending[0]) and worker.send(pending[0][1], line + CHUNK_ROWS):
+                        sent = pending.pop(0)
                 lines, ids, out, err, error = run_chunk(block, text, line, seen_ids)
                 if ids:
                     sys.stdout.write(out)
@@ -513,6 +491,23 @@ def cmd_estimate(args) -> int:
                 if len(ids) < CHUNK_ROWS:
                     break
                 line = lines[-1]  # a full chunk ends on its last row's last line
+                if sent is not None:
+                    # While the worker runs, drop what is written and read
+                    # up to two blocks ahead, but not past one that is not
+                    # full and plain: for that one csv.reader reads on
+                    # from fh.
+                    block = text = out = err = None
+                    while len(pending) < 2 and (not pending or _full_and_plain(*pending[-1])):
+                        pending.append(_next_block(fh, width))
+                    result = worker.receive()
+                    if result is not None and seen_ids.isdisjoint(result[0]):
+                        _, out, err, new_ids = result
+                        sys.stdout.write(out)
+                        sys.stderr.write(err)
+                        seen_ids |= new_ids
+                        line += CHUNK_ROWS
+                    else:  # the block runs here, as any other
+                        pending.insert(0, sent)
         finally:
             worker.close()
     return 0

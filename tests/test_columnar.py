@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
@@ -639,7 +639,7 @@ def test_each_process_evaluates_a_divisor_once_per_distinct_n(
     assert len(set(evaluated)) == len(evaluated)
 
 
-@pytest.mark.parametrize("failure", ["worker-dies", "fork-fails"])
+@pytest.mark.parametrize("failure", ["worker-dies", "fork-fails", "send-fails"])
 def test_output_is_whole_when_the_worker_fails(capsys, monkeypatch, forks, mixed_file, failure):
     if failure == "worker-dies":
         pid = os.getpid()
@@ -650,18 +650,67 @@ def test_output_is_whole_when_the_worker_fails(capsys, monkeypatch, forks, mixed
             return estimate_columns(*args)
 
         monkeypatch.setattr(cli, "estimate_columns", estimate)
-    else:
+    elif failure == "fork-fails":
         def fork():
             forks.append(None)
             raise OSError("fork failed")
 
         monkeypatch.setattr(os, "fork", fork)
+    else:
+        fork = os.fork
+
+        def fork_of_a_worker_gone_already():
+            # Its end of the task pipe is closed, so the first task
+            # written to it raises BrokenPipeError.
+            pid = fork()
+            if pid == 0:
+                os._exit(0)
+            os.waitpid(pid, 0)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork_of_a_worker_gone_already)
+    # Whether each task went to the worker: after the first, none is sent.
+    sends = []
+    send = cli._Worker.send
+
+    def spy(self, *task):
+        sends.append(send(self, *task))
+        return sends[-1]
+
+    monkeypatch.setattr(cli._Worker, "send", spy)
     monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
     expected = (0, *reference(mixed_file.read_text(), "jsonl", "first", None))
     assert run(capsys, "estimate", str(mixed_file), "--format", "jsonl") == expected
     assert len(forks) == 1
+    assert sends == [failure == "worker-dies"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_takes_the_pairs_after_a_block_it_gave_back(capsys, monkeypatch, tmp_path, forks):
+    # Two-row blocks, in pairs: the parent runs ab while the worker runs
+    # ca, whose a the parent has seen by then, so the parent runs ca
+    # again, paired with de, which the worker runs; and so on.
+    ids = ["ab", "ca", "de", "fg", "hi", "jk", "lm"]
+    path = tmp_path / "ids.csv"
+    write_rows(path, [[sid] + VALID for sid in "".join(ids)])
+    log = tmp_path / "chunks.txt"  # a line per chunk run, from either process
+    chunk_output = cli._chunk_output
+
+    def spy(lines, ids, *args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {''.join(ids)}\n")
+        return chunk_output(lines, ids, *args)
+
+    monkeypatch.setattr(cli, "_chunk_output", spy)
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 2)
+    expected = (0, *reference(path.read_text(), "csv", "first", None))
+    assert run(capsys, "estimate", str(path)) == expected
+    assert len(forks) == 1
+    ran = [line.split() for line in log.read_text().splitlines()]
+    here = str(os.getpid())
+    assert [chunk for pid, chunk in ran if pid == here] == ["ab", "ca", "fg", "jk"]
+    assert [chunk for pid, chunk in ran if pid != here] == ["ca", "de", "hi", "lm"]
 
 
 def test_one_row_views_agree_with_columns():
@@ -791,14 +840,19 @@ _VALID = st.builds(
 # Rows of 6 to 8 cells under a header of 7.  Lines end in \n, so that
 # blocks with no quoted, short or long row are cut at commas, or in
 # \r\n, so that every block goes through ``csv.reader``; chunks of 2 or
-# 3 rows mix the two ways in one file.
-@given(st.lists(st.tuples(_ID, st.one_of(st.lists(_CELL, min_size=5, max_size=7), _VALID)),
+# 3 rows mix the two ways in one file.  Valid rows with one of a few
+# ids make plain blocks whose ids repeat earlier ones: the worker runs
+# some of them, and gives back those it ran with an id seen before, as
+# it does the second block of the example.
+@given(st.lists(st.one_of(st.tuples(_ID, st.one_of(st.lists(_CELL, min_size=5, max_size=7), _VALID)),
+                         st.tuples(st.sampled_from(["p", "q"]), _VALID)),
                 min_size=1, max_size=12),
        st.sampled_from(FORMATS), st.sampled_from(CORRECTIONS), st.sampled_from(OVERRIDES),
        st.sampled_from(["\n", "\r\n"]), st.sampled_from([2, 3, 1024]))
+@example([("p", VALID), ("q", VALID), ("r", VALID), ("p", VALID)], "csv", "first", None, "\n", 2)
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_arbitrary_cells_one_outcome_per_row(
-    tmp_path, capsys, monkeypatch, rows, fmt, correction, override, line_end, chunk_rows
+    tmp_path, capsys, monkeypatch, forks, rows, fmt, correction, override, line_end, chunk_rows
 ):
     path = tmp_path / "fuzz.csv"
     table = [HEADER, *([sid, *cells] for sid, cells in rows)]
