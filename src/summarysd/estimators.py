@@ -12,7 +12,8 @@ The estimates are computed by one columnar core, :func:`estimate_columns`,
 over arrays of studies; :func:`estimate_moments`, :func:`estimate_sd` and
 :func:`estimate_mean` are one-row views of it.  The divisors and their
 corrections take one sample size and return a float, or take an int64
-array of them and return an array of the same floats.
+array of them and return an array of the same floats.  A row's divisor
+error is the ValueError the divisor raises for that row's n.
 """
 
 from __future__ import annotations
@@ -244,10 +245,11 @@ def _means(codes: np.ndarray, n: np.ndarray, values: np.ndarray):
 def _divisor_column(kind, n, need, order, cutoff, memo, errors) -> np.ndarray:
     """The corrected divisor of ``kind`` for the rows in ``need``, 1.0
     elsewhere, evaluated in one call for the distinct n not in ``memo``'s
-    array indexed by n.  Rows whose n has no divisor get an error."""
+    array indexed by n.  Rows whose n the divisor rejects get its message
+    as their error, and the call is made again without those n."""
     out = np.ones(n.shape)
     distinct, inverse = np.unique(n[need], return_inverse=True)
-    key = (kind.name, order, cutoff)
+    key = (kind, order, cutoff)
     if key not in memo:
         memo[key] = np.full(_MEMO_LIMIT, math.nan)
     known = memo[key]
@@ -255,14 +257,17 @@ def _divisor_column(kind, n, need, order, cutoff, memo, errors) -> np.ndarray:
     divisors = np.full(distinct.shape, math.nan)
     divisors[:kept.size] = known[kept]
     miss = np.isnan(divisors)
-    if miss.any():
-        undefined, reason = kind.domain(distinct, order, cutoff)
-        todo = miss & ~undefined
-        if todo.any():
-            divisors[todo] = kind.corrected(distinct[todo], order, cutoff)
+    while miss.any():
+        try:
+            divisors[miss] = kind.corrected(distinct[miss], order, cutoff)
+        except _Undefined as exc:
+            rejected = np.isin(distinct, exc.n)
+            for row in np.flatnonzero(need)[rejected[inverse]].tolist():
+                errors.setdefault(row, exc.reason.format(n[row]))
+            miss &= ~rejected
+        else:
             known[kept] = divisors[:kept.size]
-        for row in np.flatnonzero(need)[undefined[inverse]].tolist():
-            errors.setdefault(row, reason.format(n[row]))
+            break
     out[need] = divisors[inverse]
     return out
 
@@ -363,23 +368,23 @@ def estimate_mean(summary: StudySummary, scenario: Scenario | None = None) -> fl
     return estimate_moments(summary, scenario=scenario).mean
 
 
+class _Undefined(ValueError):
+    """A divisor or correction has no value at some n.  The message names
+    the first; ``reason`` keeps its template and ``n`` every such n."""
+
+
 def _reject(n: np.ndarray, bad: np.ndarray, reason: str) -> None:
-    """Raise ``reason`` for the first n flagged in ``bad``."""
+    """Raise ``reason`` for the first n flagged in ``bad``, as an
+    :class:`_Undefined` that holds every n flagged."""
     if bad.any():
-        raise ValueError(reason.format(n[bad][0]))
-
-
-def _range_position(n: np.ndarray) -> np.ndarray:
-    return (n - 0.375) / (n + 0.25)
+        exc = _Undefined(reason.format(n[bad][0]))
+        exc.reason, exc.n = reason, n[bad]
+        raise exc
 
 
 def _not_finite_from_two(n: np.ndarray) -> np.ndarray:
     """The n that are not a finite number >= 2, NaN included."""
     return ~((n >= 2) & (n < math.inf))
-
-
-def _outside_second_order(n: np.ndarray) -> np.ndarray:
-    return ~((3 <= n) & (n <= PIECEWISE_CUTOFF))
 
 
 @_elementwise
@@ -395,7 +400,7 @@ def epsilon_hat(
 ) -> float | np.ndarray:
     """Additive small-sample correction for the IQR divisor, in (0, 1)."""
     if order is CorrectionOrder.SECOND:
-        _reject(n, _outside_second_order(n), _SECOND_ORDER_DOMAIN)
+        _reject(n, ~((3 <= n) & (n <= PIECEWISE_CUTOFF)), _SECOND_ORDER_DOMAIN)
         c = n - EPSILON2_CENTER
         return _libm(math.exp, n / (EPSILON2_C0 + EPSILON2_C1 * c + EPSILON2_C2 * c * c))
     if order is not CorrectionOrder.FIRST:
@@ -410,7 +415,7 @@ def blom_range_divisor(n: int | np.ndarray) -> float | np.ndarray:
     position (n - 3/8) / (n + 1/4) of the sample maximum.  Above
     n = 2**52 the position rounds to 1 and there is no divisor."""
     _reject(n, _not_finite_from_two(n), _DIVISOR_N_MIN)
-    p = _range_position(n)
+    p = (n - 0.375) / (n + 0.25)
     _reject(n, p >= 1.0, _RANGE_N_TOO_LARGE)
     return 2.0 * std_normal_quantile(p)
 
@@ -455,35 +460,20 @@ def eta_hat(
 @dataclass(frozen=True)
 class DivisorKind:
     """One SD divisor: the index of its table in ``tables.load_tables()``,
-    its asymptotic form, its corrected form called as ``(n, order,
-    cutoff)``, and its domain, which maps the same arguments, n >= 2, to
-    the mask of the n the corrected form rejects and the reason it
-    gives."""
+    its asymptotic form, and its corrected form called as ``(n, order,
+    cutoff)``."""
 
-    name: str
     table: int
     asymptotic: Callable
     corrected: Callable
-    domain: Callable
 
 
 #: The range divisor and the IQR divisor.  The corrected forms look
 #: ``xi_hat`` and ``eta_hat`` up when called, so that a wrapper put on
 #: this module is the one called.
 DIVISORS = {
-    "xi": DivisorKind(
-        "xi", 0, blom_range_divisor,
-        lambda n, order, cutoff: xi_hat(n, cutoff),
-        lambda n, order, cutoff: (_range_position(n) >= 1.0, _RANGE_N_TOO_LARGE),
-    ),
-    "eta": DivisorKind(
-        "eta", 1, blom_iqr_divisor,
-        lambda n, order, cutoff: eta_hat(n, order, cutoff),
-        lambda n, order, cutoff: (
-            (order is CorrectionOrder.SECOND) & (n <= cutoff) & _outside_second_order(n),
-            _SECOND_ORDER_DOMAIN,
-        ),
-    ),
+    "xi": DivisorKind(0, blom_range_divisor, lambda n, order, cutoff: xi_hat(n, cutoff)),
+    "eta": DivisorKind(1, blom_iqr_divisor, lambda n, order, cutoff: eta_hat(n, order, cutoff)),
 }
 
 

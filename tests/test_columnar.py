@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 import scalar_reference as ref
 from summarysd import cli
 from summarysd.estimators import (
+    DIVISORS,
     CorrectionOrder,
     Scenario,
     StudySummary,
@@ -277,17 +278,25 @@ def test_cutoff_and_second_order_errors_name_the_row(capsys, tmp_path):
 
 def test_second_order_beyond_its_domain_is_a_row_error():
     # A second-order cutoff above 50 is accepted, here as by the CLI; the
-    # rows it cannot correct are row errors.
-    n = np.array([2, 3, 50, 51, 60, 61])
-    values = np.array([[np.nan] * 6, [1.0] * 6, [2.0] * 6, [3.0] * 6, [np.nan] * 6])
-    est = estimate_columns(n, values, CorrectionOrder.SECOND, cutoff=60)
-    assert est.errors == {
-        row: f"second-order correction is defined for 3 <= n <= 50, got {n[row]}"
-        for row in (0, 3, 4)
-    }
-    assert est.divisor[[1, 2, 5]].tolist() == [
-        ref.eta_hat(k, CorrectionOrder.SECOND, 60) for k in (3, 50, 61)
-    ]
+    # rows it cannot correct are row errors.  The last two rows are C2:
+    # the range divisor rejects the first, the IQR divisor the second.
+    n = np.array([2, 3, 50, 51, 60, 61, 2**53 + 1, 2])
+    c3, c2 = [np.nan, 1.0, 2.0, 3.0, np.nan], [0.0, 1.0, 2.0, 3.0, 4.0]
+    values = np.array([c3] * 6 + [c2] * 2).T
+    memo = {}
+    for _ in range(2):  # the second call reads the divisors the first kept
+        est = estimate_columns(n, values, CorrectionOrder.SECOND, cutoff=60, divisor_memo=memo)
+        assert est.errors == {
+            **{row: f"second-order correction is defined for 3 <= n <= 50, got {n[row]}"
+               for row in (0, 3, 4, 7)},
+            6: "n=9007199254740993 is too large for the range divisor",
+        }
+        assert est.divisor[[1, 2, 5]].tolist() == [
+            ref.eta_hat(k, CorrectionOrder.SECOND, 60) for k in (3, 50, 61)
+        ]
+    eta = memo[DIVISORS["eta"], CorrectionOrder.SECOND, 60]
+    assert np.isnan(eta[[2, 51, 60]]).all()
+    assert eta[[3, 50, 61]].tolist() == est.divisor[[1, 2, 5]].tolist()
 
 
 def test_bad_number_prefixed_once(capsys, tmp_path):
@@ -571,20 +580,29 @@ def test_plain_input_sends_only_the_header_through_csv_reader(capsys, monkeypatc
     assert read == [",".join(HEADER) + "\n"]
 
 
-def test_divisors_evaluated_once_per_distinct_n(capsys, monkeypatch, mixed_file):
+@pytest.mark.parametrize("flags", [["--correction", "first"],
+                                   ["--correction", "second", "--cutoff", "60"]],
+                         ids=["first", "second-60"])
+def test_divisors_evaluated_once_per_distinct_n(capsys, monkeypatch, mixed_file, flags):
+    # Under the second order with cutoff 60, eta rejects n = 2, 51 and 52,
+    # and each chunk holding one calls it again without them.
     from summarysd import estimators
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one process
-    passed = {"xi_hat": [], "eta_hat": []}
+    passed = {"xi_hat": [], "eta_hat": []}  # the n of each call that returned
     chunks = []
     for name, arrays in passed.items():
-        fn = getattr(estimators, name)
-        monkeypatch.setattr(estimators, name, lambda n, *a, _f=fn, _s=arrays: _s.append(n.copy()) or _f(n, *a))
+        def spy(n, *args, _f=getattr(estimators, name), _s=arrays):
+            divisors = _f(n, *args)
+            _s.append(n.copy())
+            return divisors
+
+        monkeypatch.setattr(estimators, name, spy)
     monkeypatch.setattr(cli, "estimate_columns", lambda n, *a: chunks.append(n.size) or estimate_columns(n, *a))
     monkeypatch.setattr(cli, "CHUNK_ROWS", 100)
-    run(capsys, "estimate", str(mixed_file))
+    run(capsys, "estimate", str(mixed_file), *flags)
     for arrays in passed.values():
-        # At most one call per chunk, and no n evaluated twice in the run.
+        # At most one returning call per chunk, and no n in two of them.
         assert 0 < len(arrays) <= len(chunks)
         ns = np.concatenate(arrays)
         assert ns.size == np.unique(ns).size
@@ -843,23 +861,26 @@ _VALID = st.builds(
 # 3 rows mix the two ways in one file.  Valid rows with one of a few
 # ids make plain blocks whose ids repeat earlier ones: the worker runs
 # some of them, and gives back those it ran with an id seen before, as
-# it does the second block of the example.
+# it does the second block of the example.  A cutoff of 60 makes the
+# second-order rows at n = 51..60 errors.
 @given(st.lists(st.one_of(st.tuples(_ID, st.one_of(st.lists(_CELL, min_size=5, max_size=7), _VALID)),
                          st.tuples(st.sampled_from(["p", "q"]), _VALID)),
                 min_size=1, max_size=12),
        st.sampled_from(FORMATS), st.sampled_from(CORRECTIONS), st.sampled_from(OVERRIDES),
-       st.sampled_from(["\n", "\r\n"]), st.sampled_from([2, 3, 1024]))
-@example([("p", VALID), ("q", VALID), ("r", VALID), ("p", VALID)], "csv", "first", None, "\n", 2)
+       st.sampled_from(["\n", "\r\n"]), st.sampled_from([2, 3, 1024]), st.sampled_from([30, 50, 60]))
+@example([("p", VALID), ("q", VALID), ("r", VALID), ("p", VALID)], "csv", "first", None, "\n", 2, 50)
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_arbitrary_cells_one_outcome_per_row(
-    tmp_path, capsys, monkeypatch, forks, rows, fmt, correction, override, line_end, chunk_rows
+    tmp_path, capsys, monkeypatch, forks, rows, fmt, correction, override, line_end, chunk_rows,
+    cutoff,
 ):
     path = tmp_path / "fuzz.csv"
     table = [HEADER, *([sid, *cells] for sid, cells in rows)]
     text = "".join(csv_line(row, "csv") + line_end for row in table)
     path.write_text(text, newline="")
     monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
-    argv = ["estimate", str(path), "--format", fmt, "--correction", correction]
+    argv = ["estimate", str(path), "--format", fmt, "--correction", correction,
+            "--cutoff", str(cutoff)]
     if override:
         argv += ["--scenario", override]
     code, out, err = run(capsys, *argv)
@@ -876,4 +897,4 @@ def test_arbitrary_cells_one_outcome_per_row(
     lines = [re.match(r"error: line (\d+)[ :]", line).group(1) for line in errors]
     assert len(set(lines)) == len(errors)
     assert all(map(math.isfinite, sum(estimates, [])))
-    assert (out, err) == reference(text, fmt, correction, override)
+    assert (out, err) == reference(text, fmt, correction, override, cutoff)

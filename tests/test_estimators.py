@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from summarysd.estimators import (
+    DIVISORS,
     CorrectionOrder,
     Scenario,
     StudySummary,
@@ -322,6 +323,27 @@ class TestDivisors:
             f(n, *args)
         with pytest.raises(ValueError, match=f"^{reason}, got {n}$"):
             f(np.array([10.0, n]), *args)
+
+    @pytest.mark.parametrize("cutoff", [30, 50, 60])
+    @pytest.mark.parametrize("order", list(CorrectionOrder))
+    @pytest.mark.parametrize("name", list(DIVISORS))
+    def test_row_error_is_the_error_the_divisor_raises(self, name, order, cutoff):
+        # A C1 row divides by xi and a C3 row by eta: the row has an error
+        # exactly when the divisor raises for its n, and the same message;
+        # otherwise the row's divisor is the divisor's own value.
+        kind = DIVISORS[name]
+        ns = [*range(2, 71), 2**52, 2**53 - 1, 2**53, 2**53 + 1, 2**62]
+        present = {"xi": (0, 2, 4), "eta": (1, 2, 3)}[name]
+        row = [float(j) if j in present else math.nan for j in range(5)]
+        est = estimate_columns(np.array(ns), np.array([row] * len(ns)).T, order, cutoff=cutoff)
+        for r, n in enumerate(ns):
+            try:
+                divisor = kind.corrected(n, order, cutoff)
+            except ValueError as exc:
+                assert est.errors.get(r) == str(exc)
+            else:
+                assert r not in est.errors
+                assert float(est.divisor[r]).hex() == divisor.hex()
 
 
 class TestEstimateSd:
