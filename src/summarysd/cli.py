@@ -181,53 +181,55 @@ def _splits_plainly(block: list[str], text: str, width: int) -> bool:
     return True
 
 
-def _next_block(fh, width: int) -> tuple[list[str], str | None]:
-    """The next CHUNK_ROWS lines of ``fh`` (fewer at its end), whose
-    header has ``width`` columns, and their text when they split plainly
-    (see :func:`_splits_plainly`), or None."""
-    block = list(islice(fh, CHUNK_ROWS))
-    text = "".join(block)
-    return block, text if _splits_plainly(block, text, width) else None
+def _chunks(fh, line: int, width: int):
+    """The data rows of ``fh``, which starts after line ``line`` of a
+    file whose header has ``width`` columns, in chunks of CHUNK_ROWS
+    rows; a shorter chunk is the last.  Each is the physical line number
+    of each row, the rows, and why the reading stopped early, as
+    :func:`_read_rows` gives them.  A chunk starts as the next
+    CHUNK_ROWS lines: when they split plainly (see
+    :func:`_splits_plainly`), its rows are their text and its line
+    numbers a ``range``; otherwise they are what ``csv.reader`` reads,
+    on past those lines for a quoted field or for skipped blank lines.
+    No other code reads ``fh`` after the header."""
+    while True:
+        block = list(islice(fh, CHUNK_ROWS))
+        text = "".join(block)
+        if _splits_plainly(block, text, width):
+            lines, body, error = range(line + 1, line + 1 + len(block)), text, None
+        else:
+            body, lines, error = _read_rows(csv.reader(chain(block, fh)), CHUNK_ROWS, line)
+        if lines or error is not None:
+            yield lines, body, error
+        if len(lines) < CHUNK_ROWS:
+            return
+        line = lines[-1]  # a full chunk ends on its last row's last line
 
 
-def _full_and_plain(block: list[str], text: str | None) -> bool:
-    """Whether a block of :func:`_next_block` may go to the worker."""
-    return text is not None and len(block) == CHUNK_ROWS
+def _read_chunk(chunk, width: int, picks: list[int | None]):
+    """Parse a chunk of :func:`_chunks` of a file whose header has
+    ``width`` columns and holds each of INPUT_COLUMNS at the index in
+    ``picks`` (None if it does not).  A body of plain text is cut at
+    commas and line ends, which reads it as ``csv.reader`` would.
 
-
-def _read_chunk(fh, block, text, line: int, width: int, picks: list[int | None]):
-    """Parse a chunk of data rows from the lines ``block`` of ``fh``, as
-    :func:`_next_block` gives them with their ``text``, which start
-    after line ``line`` of a file whose header has ``width`` columns and
-    holds each of INPUT_COLUMNS at the index in ``picks`` (None if it
-    does not).
-
-    Lines that split plainly are cut at commas and line ends, which
-    reads them as ``csv.reader`` would, and need neither ``block`` nor
-    ``fh``.  Other lines go through ``csv.reader``, which reads on from
-    ``fh`` for a quoted field that runs past them or for the rows of
-    skipped blank lines, up to CHUNK_ROWS rows.
-
-    Returns the physical line number and study id of each row, the
-    rows whose cells do not parse (index -> reason), the n and value
-    columns (n = 0 and NaN values in those rows, which the estimator
-    then marks invalid), and why the reading stopped
-    early, as :func:`_read_rows` gives it.  Cells missing from a short
-    row are empty.  A row with a cell past the header's width that is
-    not blank is an error, whose reason comes before those of its cells.
+    Returns the study id of each row, the rows whose cells do not parse
+    (index -> reason), and the n and value columns (n = 0 and NaN
+    values in those rows, which the estimator then marks invalid).
+    Cells missing from a short row are empty.  A row with a cell past
+    the header's width that is not blank is an error, whose reason
+    comes before those of its cells.
     """
-    problems, error = {}, None
-    if text is not None:
-        cells = text.replace("\n", ",").split(",")  # ends in one empty cell
+    lines, body, _ = chunk
+    problems = {}
+    if isinstance(body, str):
+        cells = body.replace("\n", ",").split(",")  # ends in one empty cell
         columns = [cells[j:-1:width] for j in range(width)]
-        lines = range(line + 1, line + 1 + len(cells) // width)
-        underscores = "_" in text
+        underscores = "_" in body
     else:
-        rows, lines, error = _read_rows(csv.reader(chain(block, fh)), CHUNK_ROWS, line)
-        columns = list(zip_longest(*rows, fillvalue=""))
+        columns = list(zip_longest(*body, fillvalue=""))
         underscores = True
         if len(columns) > width:
-            for i, row in enumerate(rows):
+            for i, row in enumerate(body):
                 if any(map(str.strip, row[width:])):
                     problems[i] = f"row has {len(row)} cells, header has {width}"
     empty = ("",) * len(lines)
@@ -240,7 +242,7 @@ def _read_chunk(fh, block, text, line: int, width: int, picks: list[int | None])
             problems.setdefault(i, reason)
     n, values = parsed[0], np.array(parsed[1:])
     n[list(problems)], values[:, list(problems)] = 0, math.nan
-    return lines, list(map(str.strip, study_ids)), problems, n, values, error
+    return list(map(str.strip, study_ids)), problems, n, values
 
 
 def _row_template(fmt: str, order: CorrectionOrder) -> str:
@@ -448,65 +450,53 @@ def cmd_estimate(args) -> int:
         width = len(header)
         divisor_memo: dict = {}
 
-        def run_chunk(block, text, line, seen_ids):
-            """One chunk read with :func:`_read_chunk`, estimated and
-            formatted: its line numbers and ids, its stdout and stderr
-            text, and why the reading stopped early, or None."""
-            lines, ids, problems, n, values, error = _read_chunk(fh, block, text, line, width, picks)
-            out = err = ""
-            if ids:
-                est = estimate_columns(n, values, order, override, args.cutoff, divisor_memo)
-                out, err = _chunk_output(lines, ids, problems, est, seen_ids, args.format, template)
-            return lines, ids, out, err, error
+        def run_chunk(chunk, seen_ids):
+            """A chunk of :func:`_chunks` parsed, estimated and
+            formatted: its ids, and its stdout and stderr text."""
+            ids, problems, n, values = _read_chunk(chunk, width, picks)
+            est = estimate_columns(n, values, order, override, args.cutoff, divisor_memo)
+            out, err = _chunk_output(chunk[0], ids, problems, est, seen_ids, args.format, template)
+            return ids, out, err
 
-        def run_plain_chunk(text, line):
-            """A chunk of plain ``text`` run as if no id had been seen
-            before it, which is exact when none of its ids had been: its
-            ids, stdout and stderr text, and the ids it counts as seen."""
+        def run_chunk_alone(chunk):
+            """A chunk run as if no id had been seen before it, which is
+            exact when none of its ids had been: its ids, stdout and
+            stderr text, and the ids it counts as seen."""
             new_ids: set[str] = set()
-            _, ids, out, err, _ = run_chunk(None, text, line, new_ids)
-            return ids, out, err, new_ids
+            return *run_chunk(chunk, new_ids), new_ids
 
-        # When the block at hand and the next are full plain blocks, the
-        # next goes to the worker while this one runs here.  The output
-        # is written in file order, each chunk's stdout then its stderr.
-        worker = _Worker(run_plain_chunk)
+        # When the chunk after the one at hand is full (and so, then, is
+        # this one), it goes to the worker while this one runs here; a
+        # usable worker makes the loop read two chunks at a time.  The
+        # output is written in file order, each chunk's stdout then its
+        # stderr.
+        worker = _Worker(run_chunk_alone)
         seen_ids: set[str] = set()
-        line = reader.line_num
-        pending: list = []  # blocks read after the one at hand
+        chunks = _chunks(fh, reader.line_num, width)
+        pending: list = []  # chunks read, the one at hand first
         try:
-            while True:
-                block, text = pending.pop(0) if pending else _next_block(fh, width)
-                sent = None
-                if worker.usable and _full_and_plain(block, text):
-                    pending = pending or [_next_block(fh, width)]
-                    if _full_and_plain(*pending[0]) and worker.send(pending[0][1], line + CHUNK_ROWS):
-                        sent = pending.pop(0)
-                lines, ids, out, err, error = run_chunk(block, text, line, seen_ids)
-                if ids:
-                    sys.stdout.write(out)
-                    sys.stderr.write(err)
-                if error is not None:
-                    raise FatalCliError(f"{args.input}: {error}")
-                if len(ids) < CHUNK_ROWS:
-                    break
-                line = lines[-1]  # a full chunk ends on its last row's last line
+            while pending or (pending := list(islice(chunks, 1 + worker.usable))):
+                chunk, sent = pending.pop(0), None
+                if (worker.usable and pending and len(pending[0][0]) == CHUNK_ROWS
+                        and worker.send(pending[0])):
+                    sent = pending.pop(0)
+                _, out, err = run_chunk(chunk, seen_ids)
+                sys.stdout.write(out)
+                sys.stderr.write(err)
+                if chunk[2] is not None:
+                    raise FatalCliError(f"{args.input}: {chunk[2]}")
                 if sent is not None:
                     # While the worker runs, drop what is written and read
-                    # up to two blocks ahead, but not past one that is not
-                    # full and plain: for that one csv.reader reads on
-                    # from fh.
-                    block = text = out = err = None
-                    while len(pending) < 2 and (not pending or _full_and_plain(*pending[-1])):
-                        pending.append(_next_block(fh, width))
+                    # up to two chunks ahead.
+                    chunk = out = err = None
+                    pending += islice(chunks, 2 - len(pending))
                     result = worker.receive()
                     if result is not None and seen_ids.isdisjoint(result[0]):
                         _, out, err, new_ids = result
                         sys.stdout.write(out)
                         sys.stderr.write(err)
                         seen_ids |= new_ids
-                        line += CHUNK_ROWS
-                    else:  # the block runs here, as any other
+                    else:  # the chunk runs here, as any other
                         pending.insert(0, sent)
         finally:
             worker.close()

@@ -731,6 +731,63 @@ def test_worker_takes_the_pairs_after_a_block_it_gave_back(capsys, monkeypatch, 
     assert [chunk for pid, chunk in ran if pid != here] == ["ca", "de", "hi", "lm"]
 
 
+@pytest.mark.parametrize("rows, fork_count", [(13, 0), (14, 1)])
+def test_a_file_whose_second_chunk_is_short_never_forks(
+    capsys, monkeypatch, tmp_path, forks, rows, fork_count
+):
+    # Seven-row chunks: 13 rows are a full chunk and a short one, which
+    # the parent runs after the first rather than start a worker for it.
+    path = tmp_path / "short.csv"
+    write_rows(path, [[f"s{i}"] + VALID for i in range(rows)])
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+    expected = (0, *reference(path.read_text(), "csv", "first", None))
+    assert run(capsys, "estimate", str(path)) == expected
+    assert len(forks) == fork_count
+
+
+def test_worker_runs_a_chunk_read_ahead_past_a_csv_reader_chunk(
+    capsys, monkeypatch, tmp_path, forks
+):
+    # Two-row chunks.  While the worker runs cd, the parent reads ahead
+    # two chunks through csv.reader: e and a quoted id that runs from the
+    # block's last line into the next, then h and a CRLF row.  The
+    # worker then runs the second; a chunk cut with str.split has a
+    # range of line numbers, one read by csv.reader a list.
+    cells = ",".join(VALID)
+    text = "".join([
+        ",".join(HEADER) + "\n",
+        *(f"{sid},{cells}\n" for sid in "abcde"),
+        f'"f\ng",{cells}\n',
+        f"h,{cells}\n",
+        "i,x,0,,4,,10\r\n",
+        *(f"{sid},{cells}\n" for sid in "jk"),
+    ])
+    path = tmp_path / "read-ahead.csv"
+    path.write_bytes(text.encode())
+    log = tmp_path / "chunks.txt"  # a line per chunk run, from either process
+    chunk_output = cli._chunk_output
+
+    def spy(lines, ids, *args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {lines!r} {ids}\n")
+        return chunk_output(lines, ids, *args)
+
+    monkeypatch.setattr(cli, "_chunk_output", spy)
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 2)
+    expected = (0, *reference(text, "csv", "first", None))
+    assert expected[2] == "error: line 10 (i): n='x' is not an integer\n"
+    assert run(capsys, "estimate", str(path)) == expected
+    assert len(forks) == 1
+    ran = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    here = str(os.getpid())
+    assert [chunk for pid, chunk in ran if pid == here] == [
+        "range(2, 4) ['a', 'b']", r"[6, 8] ['e', 'f\ng']", "range(11, 13) ['j', 'k']",
+    ]
+    assert [chunk for pid, chunk in ran if pid != here] == [
+        "range(4, 6) ['c', 'd']", "[9, 10] ['h', 'i']",
+    ]
+
+
 def test_one_row_views_agree_with_columns():
     s = StudySummary(n=12, min_a=0, q1=2, median_m=3, q3=5, max_b=9)
     n, values = s.columns()
