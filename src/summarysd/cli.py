@@ -17,7 +17,7 @@ import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
-from itertools import chain, compress, islice, repeat, zip_longest
+from itertools import chain, compress, islice, zip_longest
 
 import numpy as np
 
@@ -114,7 +114,7 @@ def _parse_column(col: str, cells, underscores: bool) -> tuple[np.ndarray, dict[
         if col == "n":
             return np.array(list(map(int, cells)), dtype=np.int64), {}
         nan = math.nan
-        parsed = np.array([float(x) if x else nan for x in cells])
+        parsed = np.array([float(x) if x else nan for x in cells], dtype=float)
         redo = [i for i in np.flatnonzero(~np.isfinite(parsed)).tolist() if cells[i]]
     except (ValueError, OverflowError):
         parsed = np.zeros(len(cells), dtype=np.int64 if col == "n" else float)
@@ -169,16 +169,18 @@ def _splits_plainly(block: list[str], text: str, width: int) -> bool:
     not UTF-8."""
     if not text.endswith("\n") or '"' in text or "\r" in text or "\0" in text:
         return False
-    if set(map(str.count, block, repeat(","))) != {width - 1}:
-        return False
-    limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, block)) > limit:
-        return False
     try:
-        text.encode()
+        data = np.frombuffer(text.encode(), np.uint8)
     except UnicodeEncodeError:
         return False
-    return True
+    # Each line holds width - 1 commas: (width - 1) * (i + 1) of them
+    # come before newline i.
+    ends = np.flatnonzero(data == ord("\n"))
+    before = np.searchsorted(np.flatnonzero(data == ord(",")), ends)
+    if not np.array_equal(before, (width - 1) * np.arange(1, ends.size + 1)):
+        return False
+    limit = csv.field_size_limit()
+    return len(text) <= limit or max(map(len, block)) <= limit
 
 
 def _chunks(fh, line: int, width: int):
@@ -275,40 +277,30 @@ def _shown_id(study_id: str) -> str:
     return study_id if study_id.isprintable() else repr(study_id)
 
 
-def _chunk_output(lines, ids, problems, est, seen_ids, fmt, template) -> tuple[str, str]:
-    """Output rows and ``error:`` lines of one chunk, in row order.
+def _chunk_output(ids, problems, est, fmt, template):
+    """One chunk's rows formatted, before the rule on study ids.
 
-    Adds the ids that now count as seen to ``seen_ids``.  An empty or
-    already seen id is the row's error, in place of any other.
+    Returns ``ids``, the output text of each row (empty for a row with
+    an error), each such row's error (row -> `` (id): reason``) and
+    whether each row counts its id as seen: rows that are not a valid
+    summary, which include the rows with a problem (read as n = 0), do
+    not; rows with no estimate do.
     """
     errors = {
         i: f" ({_shown_id(ids[i])}): {reason}" for i, reason in {**est.errors, **problems}.items()
     }
-    # Rows that are not a valid summary, which include the rows with a
-    # problem (read as n = 0), are rejected before their id counts as
-    # seen; rows with no estimate count.
-    if "" in ids or len(set(ids)) < len(ids) or not seen_ids.isdisjoint(ids):
-        for i, (study_id, skip) in enumerate(zip(ids, est.invalid.tolist())):
-            if not study_id:
-                errors[i] = ": empty study_id"
-            elif study_id in seen_ids:
-                errors[i] = f": duplicate study_id {study_id!r}"
-            elif not skip:
-                seen_ids.add(study_id)
-    else:
-        seen_ids.update(compress(ids, (~est.invalid).tolist()))
-    keep = np.ones(len(ids), dtype=bool)
-    keep[list(errors)] = False
     rows = zip(
-        compress(_encode_ids(ids, fmt), keep.tolist()),
-        _SCENARIO_NAMES[est.scenario[keep]],
-        est.mean[keep].tolist(),
-        est.sd[keep].tolist(),
-        est.divisor[keep].tolist(),
-        np.array(_FLAGS[fmt], dtype=object)[est.degenerate[keep].view(np.int8)],
+        _encode_ids(ids, fmt),
+        _SCENARIO_NAMES[est.scenario],
+        est.mean.tolist(),
+        est.sd.tolist(),
+        est.divisor.tolist(),
+        np.array(_FLAGS[fmt], dtype=object)[est.degenerate.view(np.int8)],
     )
-    err = "".join(f"error: line {lines[i]}{errors[i]}\n" for i in sorted(errors))
-    return "".join(map(template.__mod__, rows)), err
+    texts = list(map(template.__mod__, rows))
+    for i in errors:
+        texts[i] = ""
+    return ids, texts, errors, (~est.invalid).tolist()
 
 
 class _Worker:
@@ -450,28 +442,42 @@ def cmd_estimate(args) -> int:
         width = len(header)
         divisor_memo: dict = {}
 
-        def run_chunk(chunk, seen_ids):
-            """A chunk of :func:`_chunks` parsed, estimated and
-            formatted: its ids, and its stdout and stderr text."""
+        def run_chunk(chunk):
+            """A chunk of :func:`_chunks` parsed, estimated and formatted,
+            as :func:`_chunk_output` gives it."""
             ids, problems, n, values = _read_chunk(chunk, width, picks)
             est = estimate_columns(n, values, order, override, args.cutoff, divisor_memo)
-            out, err = _chunk_output(chunk[0], ids, problems, est, seen_ids, args.format, template)
-            return ids, out, err
+            return _chunk_output(ids, problems, est, args.format, template)
 
-        def run_chunk_alone(chunk):
-            """A chunk run as if no id had been seen before it, which is
-            exact when none of its ids had been: its ids, stdout and
-            stderr text, and the ids it counts as seen."""
-            new_ids: set[str] = set()
-            return *run_chunk(chunk, new_ids), new_ids
+        seen_ids: set[str] = set()
+
+        def commit(chunk, result) -> None:
+            """Write ``chunk``'s stdout then its stderr from ``result`` of
+            :func:`run_chunk`, then raise its fatal error, if any.  An
+            empty or already seen id is its row's error, in place of any
+            other, and the ids of the rows that count them are now seen."""
+            ids, texts, errors, counted = result
+            if "" in ids or len(set(ids)) < len(ids) or not seen_ids.isdisjoint(ids):
+                for i, (study_id, counts) in enumerate(zip(ids, counted)):
+                    if not study_id:
+                        errors[i], texts[i] = ": empty study_id", ""
+                    elif study_id in seen_ids:
+                        errors[i], texts[i] = f": duplicate study_id {study_id!r}", ""
+                    elif counts:
+                        seen_ids.add(study_id)
+            else:
+                seen_ids.update(compress(ids, counted))
+            sys.stdout.write("".join(texts))
+            sys.stderr.write("".join(f"error: line {chunk[0][i]}{errors[i]}\n" for i in sorted(errors)))
+            if chunk[2] is not None:
+                raise FatalCliError(f"{args.input}: {chunk[2]}")
 
         # When the chunk after the one at hand is full (and so, then, is
         # this one), it goes to the worker while this one runs here; a
-        # usable worker makes the loop read two chunks at a time.  The
-        # output is written in file order, each chunk's stdout then its
-        # stderr.
-        worker = _Worker(run_chunk_alone)
-        seen_ids: set[str] = set()
+        # usable worker makes the loop read two chunks at a time.  Each
+        # chunk is committed in file order, the worker's after the one at
+        # hand, so the output is the same with or without the worker.
+        worker = _Worker(run_chunk)
         chunks = _chunks(fh, reader.line_num, width)
         pending: list = []  # chunks read, the one at hand first
         try:
@@ -480,24 +486,12 @@ def cmd_estimate(args) -> int:
                 if (worker.usable and pending and len(pending[0][0]) == CHUNK_ROWS
                         and worker.send(pending[0])):
                     sent = pending.pop(0)
-                _, out, err = run_chunk(chunk, seen_ids)
-                sys.stdout.write(out)
-                sys.stderr.write(err)
-                if chunk[2] is not None:
-                    raise FatalCliError(f"{args.input}: {chunk[2]}")
+                commit(chunk, run_chunk(chunk))
                 if sent is not None:
-                    # While the worker runs, drop what is written and read
-                    # up to two chunks ahead.
-                    chunk = out = err = None
+                    # While the worker runs, read up to two chunks ahead.
+                    # A chunk whose worker died runs here.
                     pending += islice(chunks, 2 - len(pending))
-                    result = worker.receive()
-                    if result is not None and seen_ids.isdisjoint(result[0]):
-                        _, out, err, new_ids = result
-                        sys.stdout.write(out)
-                        sys.stderr.write(err)
-                        seen_ids |= new_ids
-                    else:  # the chunk runs here, as any other
-                        pending.insert(0, sent)
+                    commit(sent, worker.receive() or run_chunk(sent))
         finally:
             worker.close()
     return 0

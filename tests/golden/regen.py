@@ -25,6 +25,13 @@ The input files are checked in, not generated, so that a new numpy
   line 1503, in a quote-free block; and, in the block after that, a
   quoted id holding a comma and a doubled quote on line 2103 and an n of
   ``2.5`` on line 2203;
+- ``repeated-ids.csv``: the first 3000 rows of ``estimate-csv.csv`` with
+  ids that repeat one seen before: within the first chunk (line 302)
+  and the second (line 1802), from the first chunk in the second (line
+  1102), from the second in the third (line 2602) and on a row with
+  n = 1 (line 2002); the id of an earlier row with n = 1 (line 402),
+  which does not count as seen, again on a valid row (line 2202); and
+  an empty id (line 2902);
 - files that stop ``estimate``: an empty file, one of blank lines, an
   unknown header column, a byte that is not UTF-8 in the header and in
   the second chunk, and a 200 000-character cell.
@@ -44,7 +51,9 @@ from summarysd import cli
 GOLDEN = Path(__file__).resolve().parent
 MANIFEST = GOLDEN / "manifest.json"
 
-DATA_FILES = ("estimate-csv.csv", "wide-n.csv", "mixed.csv", "crlf.csv", "quoted.csv")
+DATA_FILES = (
+    "estimate-csv.csv", "wide-n.csv", "mixed.csv", "crlf.csv", "quoted.csv", "repeated-ids.csv",
+)
 FATAL_FILES = (
     "empty.csv",
     "blank-lines.csv",

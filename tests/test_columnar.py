@@ -570,6 +570,18 @@ def test_lone_carriage_return_ends_a_line(capsys, tmp_path):
     assert run(capsys, "estimate", str(path)) == (0, *reference(text, "csv", "first", None))
 
 
+# Lines of up to 9 cells, blank lines among them, over ASCII and
+# multi-byte text; the last line may lack its line end.
+@given(st.lists(st.lists(st.text("ab1.é€😀", max_size=3), max_size=9).map(",".join), max_size=8),
+       st.booleans(), st.integers(2, 8))
+@example(["a,b", "", "c,d"], True, 2)
+def test_comma_check_agrees_with_a_count_per_line(lines, final_line_end, width):
+    text = "\n".join(lines) + "\n" * final_line_end
+    block = io.StringIO(text, newline="").readlines()  # as the input file yields them
+    counts = set(line.count(",") for line in block)
+    assert cli._splits_plainly(block, text, width) == (text.endswith("\n") and counts == {width - 1})
+
+
 def test_plain_input_sends_only_the_header_through_csv_reader(capsys, monkeypatch):
     path = Path(__file__).parent / "golden" / "estimate-csv.csv"
     expected = (0, *reference(path.read_text(), "csv", "first", None))
@@ -705,30 +717,32 @@ def test_output_is_whole_when_the_worker_fails(capsys, monkeypatch, forks, mixed
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_worker_takes_the_pairs_after_a_block_it_gave_back(capsys, monkeypatch, tmp_path, forks):
-    # Two-row blocks, in pairs: the parent runs ab while the worker runs
-    # ca, whose a the parent has seen by then, so the parent runs ca
-    # again, paired with de, which the worker runs; and so on.
+def test_worker_keeps_every_chunk_it_is_sent(capsys, monkeypatch, tmp_path, forks):
+    # Two-row chunks, in pairs: the parent runs ab while the worker runs
+    # ca, whose a the parent has seen by then.  The parent applies the id
+    # rule to ca's result, and the worker goes on with fg and jk.
     ids = ["ab", "ca", "de", "fg", "hi", "jk", "lm"]
     path = tmp_path / "ids.csv"
     write_rows(path, [[sid] + VALID for sid in "".join(ids)])
     log = tmp_path / "chunks.txt"  # a line per chunk run, from either process
-    chunk_output = cli._chunk_output
+    read_chunk = cli._read_chunk
 
-    def spy(lines, ids, *args):
+    def spy(chunk, *args):
+        parsed = read_chunk(chunk, *args)
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {''.join(ids)}\n")
-        return chunk_output(lines, ids, *args)
+            fh.write(f"{os.getpid()} {''.join(parsed[0])}\n")
+        return parsed
 
-    monkeypatch.setattr(cli, "_chunk_output", spy)
+    monkeypatch.setattr(cli, "_read_chunk", spy)
     monkeypatch.setattr(cli, "CHUNK_ROWS", 2)
     expected = (0, *reference(path.read_text(), "csv", "first", None))
+    assert expected[2] == "error: line 5: duplicate study_id 'a'\n"
     assert run(capsys, "estimate", str(path)) == expected
     assert len(forks) == 1
     ran = [line.split() for line in log.read_text().splitlines()]
     here = str(os.getpid())
-    assert [chunk for pid, chunk in ran if pid == here] == ["ab", "ca", "fg", "jk"]
-    assert [chunk for pid, chunk in ran if pid != here] == ["ca", "de", "hi", "lm"]
+    assert [chunk for pid, chunk in ran if pid == here] == ["ab", "de", "hi", "lm"]
+    assert [chunk for pid, chunk in ran if pid != here] == ["ca", "fg", "jk"]
 
 
 @pytest.mark.parametrize("rows, fork_count", [(13, 0), (14, 1)])
@@ -765,14 +779,15 @@ def test_worker_runs_a_chunk_read_ahead_past_a_csv_reader_chunk(
     path = tmp_path / "read-ahead.csv"
     path.write_bytes(text.encode())
     log = tmp_path / "chunks.txt"  # a line per chunk run, from either process
-    chunk_output = cli._chunk_output
+    read_chunk = cli._read_chunk
 
-    def spy(lines, ids, *args):
+    def spy(chunk, *args):
+        parsed = read_chunk(chunk, *args)
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {lines!r} {ids}\n")
-        return chunk_output(lines, ids, *args)
+            fh.write(f"{os.getpid()} {chunk[0]!r} {parsed[0]}\n")
+        return parsed
 
-    monkeypatch.setattr(cli, "_chunk_output", spy)
+    monkeypatch.setattr(cli, "_read_chunk", spy)
     monkeypatch.setattr(cli, "CHUNK_ROWS", 2)
     expected = (0, *reference(text, "csv", "first", None))
     assert expected[2] == "error: line 10 (i): n='x' is not an integer\n"
@@ -917,8 +932,8 @@ _VALID = st.builds(
 # \r\n, so that every block goes through ``csv.reader``; chunks of 2 or
 # 3 rows mix the two ways in one file.  Valid rows with one of a few
 # ids make plain blocks whose ids repeat earlier ones: the worker runs
-# some of them, and gives back those it ran with an id seen before, as
-# it does the second block of the example.  A cutoff of 60 makes the
+# some of them, and the parent marks the ids seen before in its result,
+# as in the second block of the example.  A cutoff of 60 makes the
 # second-order rows at n = 51..60 errors.
 @given(st.lists(st.one_of(st.tuples(_ID, st.one_of(st.lists(_CELL, min_size=5, max_size=7), _VALID)),
                          st.tuples(st.sampled_from(["p", "q"]), _VALID)),

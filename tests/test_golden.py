@@ -7,12 +7,17 @@ change that alters output on purpose rewrites the manifest with
 """
 
 import json
+import os
 
 import pytest
 
 from golden import regen
 
 CASES = json.loads(regen.MANIFEST.read_text())
+# Their first two chunks are full, 1024 rows each, whether cut with
+# str.split or, in quoted.csv, read by csv.reader: a worker runs the
+# second.  The other data files have fewer than 2048 rows.
+FORKING = ("estimate-csv.csv", "quoted.csv", "repeated-ids.csv")
 
 
 def test_manifest_lists_every_case():
@@ -22,8 +27,15 @@ def test_manifest_lists_every_case():
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(case["argv"]) for case in CASES])
 def test_output_unchanged(case, forks):
     assert regen.run(case["argv"]) == case
-    if case["argv"][:2] in (["estimate", "estimate-csv.csv"], ["estimate", "quoted.csv"]):
-        # Their first two chunks are full, 1024 rows each, whether cut
-        # with str.split or, in quoted.csv, read by csv.reader: a worker
-        # runs the second.
+    if case["argv"][0] == "estimate" and case["argv"][1] in FORKING:
         assert len(forks) == 1
+
+
+@pytest.mark.parametrize("name", regen.DATA_FILES)
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_one_process_writes_what_two_do(monkeypatch, forks, name, fmt):
+    argv = ["estimate", name, "--format", fmt]
+    two = regen.run(argv)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert regen.run(argv) == two
+    assert len(forks) == (name in FORKING)
