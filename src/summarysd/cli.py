@@ -357,7 +357,7 @@ class _Worker:
                 tasks, results = open(task_in, "rb"), open(result_out, "wb")
                 with contextlib.suppress(EOFError):
                     while True:
-                        pickle.dump(self.job(*pickle.load(tasks)), results, pickle.HIGHEST_PROTOCOL)
+                        pickle.dump(self.job(pickle.load(tasks)), results, pickle.HIGHEST_PROTOCOL)
                         results.flush()
             finally:
                 os._exit(0)
@@ -367,7 +367,7 @@ class _Worker:
         self.tasks, self.results = open(task_out, "wb"), open(result_in, "rb")
         self.usable = True
 
-    def send(self, *task) -> bool:
+    def send(self, task) -> bool:
         """Send the worker ``task``, starting it first if need be;
         whether it took the task."""
         import pickle
@@ -423,6 +423,8 @@ def cmd_estimate(args) -> int:
         if not rows:
             raise FatalCliError(f"{args.input}: empty file, header row required")
         header = rows[0]
+        while header and not header[-1].strip():  # a trailing comma, as some exports write
+            header.pop()
         faults = {
             "unknown columns": [c for c in header if c not in INPUT_COLUMNS],
             "repeated columns": [c for c in dict.fromkeys(header) if header.count(c) > 1],
@@ -472,26 +474,20 @@ def cmd_estimate(args) -> int:
             if chunk[2] is not None:
                 raise FatalCliError(f"{args.input}: {chunk[2]}")
 
-        # When the chunk after the one at hand is full (and so, then, is
-        # this one), it goes to the worker while this one runs here; a
-        # usable worker makes the loop read two chunks at a time.  Each
-        # chunk is committed in file order, the worker's after the one at
-        # hand, so the output is the same with or without the worker.
+        # Chunks are read in pairs.  When the second is full (and so, then,
+        # is the first), it goes to the worker while the first runs here;
+        # a chunk not sent, or whose worker died, runs here.  Both are
+        # committed in file order, so the output is the same with or
+        # without the worker.
         worker = _Worker(run_chunk)
         chunks = _chunks(fh, reader.line_num, width)
-        pending: list = []  # chunks read, the one at hand first
         try:
-            while pending or (pending := list(islice(chunks, 1 + worker.usable))):
-                chunk, sent = pending.pop(0), None
-                if (worker.usable and pending and len(pending[0][0]) == CHUNK_ROWS
-                        and worker.send(pending[0])):
-                    sent = pending.pop(0)
+            for chunk, other in zip_longest(chunks, chunks):
+                sent = (other is not None and len(other[0]) == CHUNK_ROWS
+                        and worker.usable and worker.send(other))
                 commit(chunk, run_chunk(chunk))
-                if sent is not None:
-                    # While the worker runs, read up to two chunks ahead.
-                    # A chunk whose worker died runs here.
-                    pending += islice(chunks, 2 - len(pending))
-                    commit(sent, worker.receive() or run_chunk(sent))
+                if other is not None:
+                    commit(other, sent and worker.receive() or run_chunk(other))
         finally:
             worker.close()
     return 0

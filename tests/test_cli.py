@@ -127,6 +127,24 @@ class TestEstimate:
         assert err.startswith(f"error: {path}: malformed header (repeated columns ['n']); ")
         assert len(err.splitlines()) == 1
 
+    def test_header_ending_in_a_comma_is_read(self, capsys, tmp_path):
+        # Some spreadsheet exports end every line in a comma; the blank
+        # header cells past the last named column are not columns.
+        path = tmp_path / "trailing.csv"
+        path.write_text("study_id,n,min,median,max, ,\na,10,1,2,3,\nb,10,1,2,3,5\n")
+        code, out, err = run(capsys, "estimate", str(path))
+        assert code == 0
+        assert [row.split(",")[0] for row in out.splitlines()] == ["study_id", "a"]
+        assert err == "error: line 3 (b): row has 6 cells, header has 5\n"
+
+    def test_blank_header_cell_between_named_columns_is_fatal(self, capsys, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("study_id,,n,min,median,max\na,,10,1,2,3\n")
+        code, out, err = run(capsys, "estimate", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: malformed header (unknown columns ['']); ")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("first_cell", ["study_id", '"study_id"'])
     def test_byte_order_mark_is_ignored(self, capsys, tmp_path, first_cell):
         # As spreadsheet programs save UTF-8 CSV.

@@ -703,8 +703,8 @@ def test_output_is_whole_when_the_worker_fails(capsys, monkeypatch, forks, mixed
     sends = []
     send = cli._Worker.send
 
-    def spy(self, *task):
-        sends.append(send(self, *task))
+    def spy(self, task):
+        sends.append(send(self, task))
         return sends[-1]
 
     monkeypatch.setattr(cli._Worker, "send", spy)
@@ -759,14 +759,46 @@ def test_a_file_whose_second_chunk_is_short_never_forks(
     assert len(forks) == fork_count
 
 
-def test_worker_runs_a_chunk_read_ahead_past_a_csv_reader_chunk(
+def test_parent_holds_at_most_a_pair_of_chunks(capsys, monkeypatch, tmp_path, forks):
+    # Two-row chunks, read in pairs: when the j-th chunk's output is
+    # written, at most j + 1 chunks have been read.
+    path = tmp_path / "pairs.csv"
+    write_rows(path, [[f"s{i}"] + VALID for i in range(11)])
+    read, at_write = [], []
+    chunks = cli._chunks
+
+    def spy(*args):
+        for chunk in chunks(*args):
+            read.append(chunk)
+            yield chunk
+
+    stdout = sys.stdout
+
+    class Stdout:
+        def write(self, text):
+            at_write.append(len(read))
+            return stdout.write(text)
+
+        def flush(self):
+            stdout.flush()
+
+    monkeypatch.setattr(cli, "_chunks", spy)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 2)
+    expected = (0, *reference(path.read_text(), "jsonl", "first", None))
+    assert run(capsys, "estimate", str(path), "--format", "jsonl") == expected
+    assert len(forks) == 1
+    assert at_write == [2, 2, 4, 4, 6, 6]
+
+
+def test_worker_runs_the_chunk_after_one_read_past_its_block(
     capsys, monkeypatch, tmp_path, forks
 ):
-    # Two-row chunks.  While the worker runs cd, the parent reads ahead
-    # two chunks through csv.reader: e and a quoted id that runs from the
-    # block's last line into the next, then h and a CRLF row.  The
-    # worker then runs the second; a chunk cut with str.split has a
-    # range of line numbers, one read by csv.reader a list.
+    # Two-row chunks, in pairs.  The second pair is read by csv.reader:
+    # e and a quoted id that runs from its block's last line into the
+    # next, then h and a CRLF row, which the worker runs.  A chunk cut
+    # with str.split has a range of line numbers, one read by csv.reader
+    # a list.
     cells = ",".join(VALID)
     text = "".join([
         ",".join(HEADER) + "\n",
@@ -776,7 +808,7 @@ def test_worker_runs_a_chunk_read_ahead_past_a_csv_reader_chunk(
         "i,x,0,,4,,10\r\n",
         *(f"{sid},{cells}\n" for sid in "jk"),
     ])
-    path = tmp_path / "read-ahead.csv"
+    path = tmp_path / "past-its-block.csv"
     path.write_bytes(text.encode())
     log = tmp_path / "chunks.txt"  # a line per chunk run, from either process
     read_chunk = cli._read_chunk
